@@ -40,9 +40,8 @@ use ramsis_bench::{render_table, write_json};
 use ramsis_profiles::Task;
 use ramsis_sim::{
     CheckpointPolicy, CheckpointRecorder, EngineSnapshot, FaultPlan, FileRecorder, Profiler,
-    Simulation, SimulationConfig, SimulationReport,
+    RunSpec, Simulation, SimulationConfig, SimulationReport,
 };
-use ramsis_telemetry::NullSink;
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
 
@@ -134,7 +133,11 @@ fn main() {
         let mut monitor = OracleMonitor::new(trace.clone());
         let start = Instant::now();
         let report = sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut NullSink)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .expect("empty fault plan always validates");
         (start.elapsed().as_secs_f64(), report)
     };
@@ -147,16 +150,14 @@ fn main() {
         let mut monitor = OracleMonitor::new(trace.clone());
         let mut prof = Profiler::on();
         let report = sim
-            .run_durable_profiled(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .profiler(&mut prof)
+                    .checkpoints(recorder),
                 &mut scheme,
                 &mut monitor,
-                &mut NullSink,
-                recorder,
-                &mut prof,
             )
-            .expect("empty fault plan always validates")
             .expect("no recorder tier stops the run");
         let p = prof.report();
         let ckpt_ns = p

@@ -42,10 +42,8 @@ use ramsis_baselines::JellyfishPlus;
 use ramsis_bench::harness::{build_profile, constant_load_workers};
 use ramsis_bench::{render_table, write_json};
 use ramsis_profiles::Task;
-use ramsis_sim::{FaultPlan, Profiler, Simulation, SimulationConfig, SimulationReport};
-use ramsis_telemetry::{
-    DecisionSink, JsonlDecisionSink, NullDecisionSink, NullSink, VecDecisionSink,
-};
+use ramsis_sim::{FaultPlan, Profiler, RunSpec, Simulation, SimulationConfig, SimulationReport};
+use ramsis_telemetry::{DecisionSink, JsonlDecisionSink, NullDecisionSink, VecDecisionSink};
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
 
@@ -133,7 +131,11 @@ fn main() {
         let mut monitor = OracleMonitor::new(trace.clone());
         let start = Instant::now();
         let report = sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut NullSink)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .expect("empty fault plan always validates");
         (start.elapsed().as_secs_f64(), report)
     };
@@ -145,14 +147,13 @@ fn main() {
         let mut monitor = OracleMonitor::new(trace.clone());
         let mut prof = Profiler::on();
         let report = sim
-            .run_faulted_traced_decisions_profiled(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .decisions(decisions)
+                    .profiler(&mut prof),
                 &mut scheme,
                 &mut monitor,
-                &mut NullSink,
-                decisions,
-                &mut prof,
             )
             .expect("empty fault plan always validates");
         let p = prof.report();

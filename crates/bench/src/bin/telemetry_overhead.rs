@@ -1,13 +1,13 @@
 //! Telemetry overhead: the cost of the event trace at each sink tier.
 //!
-//! Runs the same seeded constant-load simulation four ways — the plain
-//! untraced entry point, an explicit [`NullSink`], a bounded
-//! [`RingSink`], and a [`JsonlSink`] writing to memory — and compares
-//! wall-clock times. The contract under test: with the default
-//! `NullSink` every emission site collapses to one cold branch, so the
-//! traced entry point must cost the same as the untraced one (asserted
-//! within a noise margin on min-of-reps). Ring and JSONL tiers report
-//! their slowdown and events/s for capacity planning.
+//! Runs the same seeded constant-load simulation four ways — with no
+//! sink attached, an explicit [`NullSink`], a bounded [`RingSink`], and
+//! a [`JsonlSink`] writing to memory — and compares wall-clock times.
+//! The contract under test: with the default `NullSink` every emission
+//! site collapses to one cold branch, so a run with it attached must
+//! cost the same as one without (asserted within a noise margin on
+//! min-of-reps). Ring and JSONL tiers report their slowdown and
+//! events/s for capacity planning.
 
 use std::time::Instant;
 
@@ -15,7 +15,7 @@ use ramsis_baselines::JellyfishPlus;
 use ramsis_bench::harness::{build_profile, constant_load_workers};
 use ramsis_bench::{render_table, write_csv, write_json, ExperimentArgs};
 use ramsis_profiles::Task;
-use ramsis_sim::{Simulation, SimulationConfig, SimulationReport};
+use ramsis_sim::{RunSpec, Simulation, SimulationConfig, SimulationReport};
 use ramsis_telemetry::{JsonlSink, NullSink, RingSink, TelemetrySink};
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
@@ -58,7 +58,13 @@ fn main() {
         let start = Instant::now();
         let report = match sink {
             None => sim.run(&trace, &mut scheme, &mut monitor),
-            Some(s) => sim.run_traced(&trace, &mut scheme, &mut monitor, s),
+            Some(s) => sim
+                .execute(
+                    RunSpec::trace(&trace).telemetry(s),
+                    &mut scheme,
+                    &mut monitor,
+                )
+                .expect("an unfaulted run has nothing to refuse"),
         };
         (start.elapsed().as_secs_f64(), report)
     };

@@ -32,9 +32,8 @@ use ramsis_mdp::{value_iteration_gauss_seidel_profiled, value_iteration_profiled
 use ramsis_profiles::{Task, WorkerProfile};
 use ramsis_sim::{
     AdaptiveRamsis, FastestFixed, FaultPlan, ProfileReport, Profiler, ResiliencePolicy, Routing,
-    Simulation, SimulationConfig, SimulationReport,
+    RunSpec, Simulation, SimulationConfig, SimulationReport,
 };
-use ramsis_telemetry::NullSink;
 use ramsis_workload::{DriftDetector, DriftDetectorConfig, LoadMonitor, Trace};
 
 use crate::drift::DriftConfig;
@@ -220,7 +219,12 @@ fn run_constant(
     .expect("valid constant-load config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_profiled(&trace, &mut scheme, &mut monitor, prof)
+    sim.execute(
+        RunSpec::trace(&trace).profiler(prof),
+        &mut scheme,
+        &mut monitor,
+    )
+    .expect("an unfaulted run has nothing to refuse")
 }
 
 fn run_surge(
@@ -239,13 +243,12 @@ fn run_surge(
     .expect("valid surge config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted_traced_profiled(
-        &trace,
-        &cfg.surge_plan(),
+    sim.execute(
+        RunSpec::trace(&trace)
+            .faults(&cfg.surge_plan())
+            .profiler(prof),
         &mut scheme,
         &mut monitor,
-        &mut NullSink,
-        prof,
     )
     .expect("surge plan validates")
 }
@@ -285,13 +288,10 @@ fn run_drift_scenario(
     )
     .expect("valid drift config");
     let mut monitor = LoadMonitor::new();
-    sim.run_arrivals_faulted_traced_profiled(
-        &arrivals,
-        &FaultPlan::none(),
+    sim.execute(
+        RunSpec::arrivals(&arrivals).profiler(prof),
         &mut scheme,
         &mut monitor,
-        &mut NullSink,
-        prof,
     )
     .expect("empty fault plan validates")
 }

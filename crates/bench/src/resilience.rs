@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use ramsis_profiles::WorkerProfile;
 use ramsis_sim::{
-    FastestFixed, FaultPlan, ResiliencePolicy, Routing, Simulation, SimulationConfig,
+    FastestFixed, FaultPlan, ResiliencePolicy, Routing, RunSpec, Simulation, SimulationConfig,
     SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
@@ -100,8 +100,12 @@ fn run_one(
     .expect("valid resilience-surge config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted(&trace, &cfg.plan(), &mut scheme, &mut monitor)
-        .expect("surge plan validates")
+    sim.execute(
+        RunSpec::trace(&trace).faults(&cfg.plan()),
+        &mut scheme,
+        &mut monitor,
+    )
+    .expect("surge plan validates")
 }
 
 /// Runs the baseline (resilience disabled) and the fully-enabled

@@ -27,7 +27,9 @@
 //! ```
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
-use ramsis_sim::{FastestFixed, FaultPlan, HealthPolicy, Routing, Simulation, SimulationConfig};
+use ramsis_sim::{
+    FastestFixed, FaultPlan, HealthPolicy, Routing, RunSpec, Simulation, SimulationConfig,
+};
 use ramsis_telemetry::{Event, VecSink};
 use ramsis_workload::{LoadMonitor, Trace};
 
@@ -134,7 +136,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
         .map_err(|e| e.to_string())?;
     let events = sink.into_events();
 

@@ -15,8 +15,8 @@ use std::path::Path;
 use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
 use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_sim::{
-    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme,
-    ServingScheme, Simulation, SimulationConfig, SimulationReport,
+    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme, RunSpec,
+    ServingScheme, SimError, Simulation, SimulationConfig, SimulationReport,
 };
 use ramsis_telemetry::{
     BinSink, DecisionSink, JsonlDecisionSink, JsonlSink, NullDecisionSink, NullSink, SamplePolicy,
@@ -179,28 +179,36 @@ pub fn run(args: &[String]) -> Result<(), String> {
      -> Result<SimulationReport, String> {
         let Some(ckpt) = ckpt_path else {
             return sim
-                .run_faulted_traced_decisions(&trace, &plan, scheme, estimator, sink, decisions)
+                .execute(
+                    RunSpec::trace(&trace)
+                        .faults(&plan)
+                        .telemetry(sink)
+                        .decisions(decisions),
+                    scheme,
+                    estimator,
+                )
                 .map_err(|e| e.to_string());
         };
         let mut recorder = FileRecorder::new(ckpt);
-        let outcome = match &snapshot {
-            Some(snap) => {
-                sim.resume_durable(&trace, &plan, scheme, estimator, sink, snap, &mut recorder)
-            }
-            None => sim.run_durable(&trace, &plan, scheme, estimator, sink, &mut recorder),
+        let mut spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(sink)
+            .checkpoints(&mut recorder);
+        if let Some(snap) = &snapshot {
+            spec = spec.resume_from(snap);
         }
-        .map_err(|e| e.to_string())?;
-        match outcome {
-            Some(report) => {
+        match sim.execute(spec, scheme, estimator) {
+            Ok(report) => {
                 println!("checkpoints: {} written -> {ckpt}", recorder.written());
                 Ok(report)
             }
-            None => Err(format!(
+            Err(SimError::Interrupted { .. }) => Err(format!(
                 "checkpoint write to {ckpt} failed: {}",
                 recorder
                     .take_error()
                     .unwrap_or_else(|| "unknown I/O error".into())
             )),
+            Err(e) => Err(e.to_string()),
         }
     };
     // Telemetry encoding and sampling: `.bin` paths get the compact

@@ -12,6 +12,13 @@ pub enum CoreError {
     Infeasible(String),
     /// The assembled MDP failed validation.
     Mdp(MdpError),
+    /// A simulation run stopped before completing because its
+    /// checkpoint recorder asked it to (a simulated kill, or a failed
+    /// checkpoint write) after `events_done` processed events.
+    Interrupted {
+        /// Heap events the run had fully processed when it stopped.
+        events_done: u64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -20,6 +27,9 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::Infeasible(msg) => write!(f, "infeasible problem: {msg}"),
             CoreError::Mdp(e) => write!(f, "MDP construction failed: {e}"),
+            CoreError::Interrupted { events_done } => {
+                write!(f, "run interrupted after {events_done} events")
+            }
         }
     }
 }

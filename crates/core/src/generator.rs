@@ -92,86 +92,8 @@ pub fn generate_policy_traced(
     process: &dyn ArrivalProcess,
     config: &PolicyConfig,
 ) -> Result<(WorkerPolicy, Option<ConvergenceTrace>), CoreError> {
-    config.validate()?;
-    if (profile.slo() - config.slo_s).abs() > 1e-9 {
-        return Err(CoreError::InvalidConfig(format!(
-            "profile was built for SLO {}s but the config says {}s",
-            profile.slo(),
-            config.slo_s
-        )));
-    }
-    if profile.pareto_models().is_empty() {
-        return Err(CoreError::Infeasible(
-            "profile has no Pareto-front models".into(),
-        ));
-    }
     let started = Instant::now();
-
-    let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
-    let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
-    let space = StateSpace::new(nw, grid.len() as u32);
-
-    let source = match config.balancing {
-        Balancing::RoundRobin => RowSource::RoundRobin(TransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process,
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
-        Balancing::ShortestQueueFirst => RowSource::Sqf(SqfTransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process.rate(),
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
-    };
-
-    // Assemble the sparse MDP. Action labels carry the packed action so
-    // the solved policy can be decoded without a side table.
-    let mut builder = MdpBuilder::new(space.len());
-    builder.normalize_rows(true);
-    for (_, st) in space.iter() {
-        builder.start_state();
-        match st {
-            State::Empty => {
-                let row = source.row(st, Action::Arrival);
-                add_action(&mut builder, Action::Arrival, &row, 0.0);
-            }
-            State::Queued { n, slack } => {
-                for action in valid_actions(
-                    profile,
-                    &grid,
-                    n,
-                    slack as usize,
-                    config.batching,
-                    config.on_miss,
-                ) {
-                    let row = source.row(st, action);
-                    let r = reward(profile, &grid, slack as usize, action, config.reward);
-                    add_action(&mut builder, action, &row, r);
-                }
-            }
-            State::Full => {
-                // Slack is exhausted: only the forced action remains.
-                let actions = valid_actions(profile, &grid, nw, 0, config.batching, config.on_miss);
-                debug_assert_eq!(actions.len(), 1, "full state admits only the forced action");
-                for action in actions {
-                    let row = source.row(st, action);
-                    // The forced action never satisfies the deadline.
-                    add_action(&mut builder, action, &row, 0.0);
-                }
-            }
-        }
-    }
-    let mdp = builder.build()?;
+    let (grid, space, mdp) = assemble(profile, process, config)?;
 
     // Solve with the configured exact method.
     let opts = SolveOptions {
@@ -222,44 +144,38 @@ fn add_action(builder: &mut MdpBuilder, action: Action, row: &[(usize, f64)], re
     builder.add_action(action.to_label(), &transitions);
 }
 
-/// Diagnostic sizes of the MDP a configuration would produce — used by
-/// the Table 2 harness and scalability tests without paying for a solve.
-pub fn mdp_dimensions(
-    profile: &WorkerProfile,
-    config: &PolicyConfig,
-) -> Result<(usize, usize), CoreError> {
-    config.validate()?;
+/// The slack grid and the state space a configuration induces.
+fn grid_and_space(profile: &WorkerProfile, config: &PolicyConfig) -> (TimeGrid, StateSpace) {
     let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
     let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
     let space = StateSpace::new(nw, grid.len() as u32);
-    let mut n_actions = 1; // the empty state's arrival action
-    for (_, st) in space.iter() {
-        if let State::Queued { n, slack } = st {
-            n_actions += valid_actions(
-                profile,
-                &grid,
-                n,
-                slack as usize,
-                config.batching,
-                config.on_miss,
-            )
-            .len();
-        }
-    }
-    n_actions += 1; // the full state's forced action
-    Ok((space.len(), n_actions))
+    (grid, space)
 }
 
-/// Re-export for tests and benches that need the raw MDP.
-pub fn assemble_mdp(
+/// Assembles the worker MDP (§4.1) after checking the configuration
+/// against the profile: one action per valid (state, action) pair,
+/// rows from the configured load balancer's transition model. Action
+/// labels carry the packed action so a solved policy can be decoded
+/// without a side table.
+fn assemble(
     profile: &WorkerProfile,
     process: &dyn ArrivalProcess,
     config: &PolicyConfig,
-) -> Result<SparseMdp, CoreError> {
+) -> Result<(TimeGrid, StateSpace, SparseMdp), CoreError> {
     config.validate()?;
-    let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
-    let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
-    let space = StateSpace::new(nw, grid.len() as u32);
+    if (profile.slo() - config.slo_s).abs() > 1e-9 {
+        return Err(CoreError::InvalidConfig(format!(
+            "profile was built for SLO {}s but the config says {}s",
+            profile.slo(),
+            config.slo_s
+        )));
+    }
+    if profile.pareto_models().is_empty() {
+        return Err(CoreError::Infeasible(
+            "profile has no Pareto-front models".into(),
+        ));
+    }
+    let (grid, space) = grid_and_space(profile, config);
     let source = match config.balancing {
         Balancing::RoundRobin => RowSource::RoundRobin(TransitionBuilder::new(
             profile,
@@ -306,15 +222,68 @@ pub fn assemble_mdp(
                 }
             }
             State::Full => {
-                for action in valid_actions(profile, &grid, nw, 0, config.batching, config.on_miss)
-                {
+                // Slack is exhausted: only the forced action remains.
+                let actions = valid_actions(
+                    profile,
+                    &grid,
+                    space.max_queue(),
+                    0,
+                    config.batching,
+                    config.on_miss,
+                );
+                debug_assert_eq!(actions.len(), 1, "full state admits only the forced action");
+                for action in actions {
                     let row = source.row(st, action);
+                    // The forced action never satisfies the deadline.
                     add_action(&mut builder, action, &row, 0.0);
                 }
             }
         }
     }
-    Ok(builder.build()?)
+    let mdp = builder.build()?;
+    Ok((grid, space, mdp))
+}
+
+/// Diagnostic sizes of the MDP a configuration would produce — used by
+/// the Table 2 harness and scalability tests without paying for a solve.
+pub fn mdp_dimensions(
+    profile: &WorkerProfile,
+    config: &PolicyConfig,
+) -> Result<(usize, usize), CoreError> {
+    config.validate()?;
+    let (grid, space) = grid_and_space(profile, config);
+    let mut n_actions = 1; // the empty state's arrival action
+    for (_, st) in space.iter() {
+        if let State::Queued { n, slack } = st {
+            n_actions += valid_actions(
+                profile,
+                &grid,
+                n,
+                slack as usize,
+                config.batching,
+                config.on_miss,
+            )
+            .len();
+        }
+    }
+    n_actions += 1; // the full state's forced action
+    Ok((space.len(), n_actions))
+}
+
+/// The raw assembled MDP, for tests and benches that time or inspect
+/// assembly on its own. Same checks and errors as
+/// [`generate_policy`].
+///
+/// # Errors
+///
+/// Returns [`CoreError`] on invalid configuration, SLO mismatch, an
+/// empty Pareto front, or an internal MDP assembly failure.
+pub fn assemble_mdp(
+    profile: &WorkerProfile,
+    process: &dyn ArrivalProcess,
+    config: &PolicyConfig,
+) -> Result<SparseMdp, CoreError> {
+    assemble(profile, process, config).map(|(_, _, mdp)| mdp)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::autoscale::AutoscalePolicy;
 use crate::checkpoint::{CheckpointPolicy, MemoryRecorder};
-use crate::engine::{ForcedDecision, Simulation, SimulationConfig};
+use crate::engine::{ForcedDecision, RunSpec, Simulation, SimulationConfig};
 use crate::faults::{CrashPolicy, FaultEvent, FaultPlan};
 use crate::health::HealthPolicy;
 use crate::metrics::SimulationReport;
@@ -282,7 +282,8 @@ impl ChaosConfig {
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
-            let r = sim.run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)?;
+            let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
+            let r = sim.execute(spec, &mut scheme, &mut monitor)?;
             Ok((r, sink.into_events()))
         };
         let run_once = || run_with(&sim);
@@ -380,14 +381,11 @@ impl ChaosConfig {
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
             let mut recorder = VecDecisionSink::new();
-            let rd = sim.run_faulted_traced_decisions(
-                &trace,
-                &plan,
-                &mut scheme,
-                &mut monitor,
-                &mut sink,
-                &mut recorder,
-            )?;
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sink)
+                .decisions(&mut recorder);
+            let rd = sim.execute(spec, &mut scheme, &mut monitor)?;
             let ed = sink.into_events();
             let j_rd = serde_json::to_string(&rd).expect("reports serialize");
             if j_rd != serde_json::to_string(&r1).expect("reports serialize") {
@@ -425,14 +423,11 @@ impl ChaosConfig {
                 let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
                 let mut monitor = LoadMonitor::new();
                 let mut sink = VecSink::new();
-                match sim.replay_counterfactual(
-                    &trace,
-                    &plan,
-                    &mut scheme,
-                    &mut monitor,
-                    &mut sink,
-                    ForcedDecision { k: rec.k, action },
-                ) {
+                let spec = RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut sink)
+                    .force(ForcedDecision { k: rec.k, action }, 0);
+                match sim.execute(spec, &mut scheme, &mut monitor) {
                     Err(e) => fail("decisions:counterfactual-baseline", e.to_string()),
                     Ok(cf) => {
                         if serde_json::to_string(&cf).expect("reports serialize") != j_rd {
@@ -473,8 +468,10 @@ impl ChaosConfig {
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sampling = SamplingSink::new(VecSink::new(), policy);
-            let rs =
-                sim.run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sampling)?;
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sampling);
+            let rs = sim.execute(spec, &mut scheme, &mut monitor)?;
             let withheld = sampling.sampled_out_events();
             let sampled = sampling.finish().into_events();
             if serde_json::to_string(&rs).expect("reports serialize")
@@ -578,16 +575,11 @@ impl ChaosConfig {
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
             let mut rec = MemoryRecorder::new();
-            let full = durable
-                .run_durable(
-                    &trace,
-                    &plan,
-                    &mut scheme,
-                    &mut monitor,
-                    &mut sink,
-                    &mut rec,
-                )?
-                .expect("no stop requested");
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sink)
+                .checkpoints(&mut rec);
+            let full = durable.execute(spec, &mut scheme, &mut monitor)?;
             let full_events = sink.into_events();
             let full_json = serde_json::to_string(&full).expect("reports serialize");
             // Checkpointing on must not perturb the run at all.
@@ -627,14 +619,11 @@ impl ChaosConfig {
                         let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
                         let mut monitor = LoadMonitor::new();
                         let mut sink = VecSink::new();
-                        match durable.resume(
-                            &trace,
-                            &plan,
-                            &mut scheme,
-                            &mut monitor,
-                            &mut sink,
-                            &back,
-                        ) {
+                        let spec = RunSpec::trace(&trace)
+                            .faults(&plan)
+                            .telemetry(&mut sink)
+                            .resume_from(&back);
+                        match durable.execute(spec, &mut scheme, &mut monitor) {
                             Err(e) => fail("kill-resume:resume", e.to_string()),
                             Ok(resumed) => {
                                 let resumed_json =

@@ -11,9 +11,10 @@
 //! rename), [`MemoryRecorder`] keeps snapshots in memory for tests and
 //! the chaos harness's kill–resume dimension.
 //!
-//! The durability invariant: [`crate::Simulation::resume`] from *any*
-//! snapshot continues to a final report and telemetry event stream
-//! byte-identical to the uninterrupted run's suffix. With the policy
+//! The durability invariant: resuming from *any* snapshot
+//! ([`crate::RunSpec::resume_from`]) continues to a final report and
+//! telemetry event stream byte-identical to the uninterrupted run's
+//! suffix. With the policy
 //! disabled (the default) the engine takes one predictable branch per
 //! event and is bit-identical to the pre-checkpoint engine.
 
@@ -348,7 +349,8 @@ pub fn arrivals_fingerprint(arrivals: &[f64]) -> u64 {
 
 /// Where checkpoints go. The engine calls [`Self::record`] at each
 /// cadence point; returning `false` stops the run on the spot (the
-/// chaos harness's simulated kill — the engine returns `Ok(None)`).
+/// chaos harness's simulated kill — the run ends with
+/// [`crate::SimError::Interrupted`]).
 pub trait CheckpointRecorder {
     /// Persists one snapshot; `false` asks the engine to halt the run
     /// immediately after this checkpoint.

@@ -1,9 +1,9 @@
 //! Counterfactual regret analysis (DESIGN.md §13).
 //!
 //! A factual run is recorded with decision provenance
-//! ([`Simulation::run_faulted_traced_decisions`]); a sample of its
-//! selection-site decisions is then replayed with one forced
-//! alternative action each ([`Simulation::replay_counterfactual`]), and
+//! ([`RunSpec::decisions`]); a sample of its selection-site decisions
+//! is then replayed with one forced alternative action each
+//! ([`RunSpec::force`]), and
 //! the exact objective delta — the *regret* of the chosen action
 //! against that alternative — is aggregated by regime, reason code, and
 //! fault-window membership. Replays are full deterministic re-runs, so
@@ -13,10 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use ramsis_telemetry::{ChosenAction, DecisionRecord, NullSink, VecDecisionSink};
+use ramsis_telemetry::{ChosenAction, DecisionRecord, VecDecisionSink};
 use ramsis_workload::{LoadEstimator, Trace};
 
-use crate::engine::{ForcedDecision, Simulation};
+use crate::engine::{ForcedDecision, RunSpec, Simulation};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::SimulationReport;
 use crate::query::Nanos;
@@ -225,14 +225,8 @@ pub fn regret_study(
     let factual = {
         let mut scheme = make_scheme();
         let mut estimator = make_estimator();
-        sim.run_faulted_traced_decisions(
-            trace,
-            plan,
-            scheme.as_mut(),
-            estimator.as_mut(),
-            &mut NullSink,
-            &mut recorder,
-        )?
+        let spec = RunSpec::trace(trace).faults(plan).decisions(&mut recorder);
+        sim.execute(spec, scheme.as_mut(), estimator.as_mut())?
     };
     let factual_json = serde_json::to_string(&factual)
         .map_err(|e| SimError::InvalidConfig(format!("factual report serialization: {e}")))?;
@@ -262,17 +256,12 @@ pub fn regret_study(
                 .expect("selection-site records always map to a selection");
             let mut scheme = make_scheme();
             let mut estimator = make_estimator();
-            let replayed = sim.replay_counterfactual(
-                trace,
-                plan,
-                scheme.as_mut(),
-                estimator.as_mut(),
-                &mut NullSink,
-                ForcedDecision {
-                    k: rec.k,
-                    action: own,
-                },
-            )?;
+            let forced = ForcedDecision {
+                k: rec.k,
+                action: own,
+            };
+            let spec = RunSpec::trace(trace).faults(plan).force(forced, 0);
+            let replayed = sim.execute(spec, scheme.as_mut(), estimator.as_mut())?;
             let json = serde_json::to_string(&replayed).map_err(|e| {
                 SimError::InvalidConfig(format!("baseline report serialization: {e}"))
             })?;
@@ -288,17 +277,12 @@ pub fn regret_study(
         for alt in alternatives_of(rec, cfg.alternatives_per_decision) {
             let mut scheme = make_scheme();
             let mut estimator = make_estimator();
-            let cf = sim.replay_counterfactual(
-                trace,
-                plan,
-                scheme.as_mut(),
-                estimator.as_mut(),
-                &mut NullSink,
-                ForcedDecision {
-                    k: rec.k,
-                    action: alt,
-                },
-            )?;
+            let forced = ForcedDecision {
+                k: rec.k,
+                action: alt,
+            };
+            let spec = RunSpec::trace(trace).faults(plan).force(forced, 0);
+            let cf = sim.execute(spec, scheme.as_mut(), estimator.as_mut())?;
             entries.push(RegretEntry {
                 k: rec.k,
                 at: rec.at,
@@ -427,7 +411,7 @@ mod tests {
         let mut s = scheme();
         let mut est = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, s.as_mut(), &mut est)
+            .execute(RunSpec::trace(&trace).faults(&plan), s.as_mut(), &mut est)
             .unwrap();
         let obj = run_objective(&report);
         assert!((0.0..=1.0).contains(&obj), "objective {obj} out of range");

@@ -39,12 +39,12 @@ use crate::checkpoint::{
     EngineSnapshot, HeapEntry, InFlightState, ResilienceState, SnapshotMeta, SNAPSHOT_VERSION,
 };
 use crate::faults::{CrashPolicy, FaultEvent, FaultPlan};
-use crate::health::{HealthMonitor, HealthPolicy, ProbeStep};
+use crate::health::{HealthMonitor, HealthPolicy, ProbeStep, SuspectInfo};
 use crate::latency::{LatencyMode, LatencySampler};
 use crate::metrics::{MetricsCollector, SimulationReport};
 use crate::query::{nanos_from_secs, secs_from_nanos, Nanos, Query};
 use crate::resilience::{
-    backoff_delay_s, splitmix64, AdmissionPolicy, CoDelAdmission, ResiliencePolicy, RetryBudget,
+    backoff_delay_s, splitmix64, CoDelAdmission, ResiliencePolicy, RetryBudget,
 };
 use crate::scheme::{Routing, Selection, SelectionContext, ServingScheme};
 use crate::SimError;
@@ -76,7 +76,7 @@ pub struct SimulationConfig {
     /// Checkpoint cadence for durable runs (DESIGN.md §12). The default
     /// disables checkpointing and reproduces the pre-checkpoint engine
     /// bit-for-bit; snapshots are only taken when a
-    /// [`CheckpointRecorder`] is attached via [`Simulation::run_durable`].
+    /// [`CheckpointRecorder`] is attached via [`RunSpec::checkpoints`].
     pub checkpoint: CheckpointPolicy,
     /// Perceived-health knobs (DESIGN.md §14): heartbeat probes, the
     /// phi-accrual failure detector, per-worker circuit breakers, and
@@ -246,6 +246,22 @@ impl EventKind {
         }
     }
 
+    /// The profiler phase the event's handling is charged to.
+    fn phase(self) -> Phase {
+        match self {
+            EventKind::Arrival(_) => Phase::Arrival,
+            EventKind::WorkerDone(..) => Phase::Completion,
+            EventKind::Timeout(..) => Phase::Timeout,
+            EventKind::HedgeDue(..) => Phase::Hedge,
+            EventKind::Retry(_) => Phase::Retry,
+            // Membership machinery shares the fault phase bucket.
+            EventKind::Fault(_)
+            | EventKind::ScaleTick
+            | EventKind::WarmupDone(..)
+            | EventKind::HealthTick => Phase::Fault,
+        }
+    }
+
     /// Inverse of [`Self::encode`].
     fn decode(tag: u8, a: u64, b: u64) -> Result<Self, SimError> {
         Ok(match tag {
@@ -271,24 +287,6 @@ impl EventKind {
 /// numbers are unique, so the `EventKind` ordering never decides.
 type EventHeap = BinaryHeap<Reverse<(Nanos, u64, EventKind)>>;
 
-/// Checkpoint/resume context threaded into the core run loop: an
-/// optional recorder receiving snapshots at the configured cadence, and
-/// an optional snapshot to resume from. Plain runs pass neither and the
-/// loop body reduces to one branch per event.
-struct DurableCtx<'d> {
-    recorder: Option<&'d mut dyn CheckpointRecorder>,
-    resume: Option<&'d EngineSnapshot>,
-}
-
-impl DurableCtx<'_> {
-    fn none() -> Self {
-        DurableCtx {
-            recorder: None,
-            resume: None,
-        }
-    }
-}
-
 /// The alternative a counterfactual replay injects: at decision
 /// `k` — the index every run counts across all decision sites whether
 /// or not recording is on — the scheme's selection is replaced by
@@ -304,28 +302,6 @@ pub struct ForcedDecision {
     /// The selection applied instead of the scheme's. A `Serve` batch
     /// or `Drop` count outside `1..=queue` is clamped at the site.
     pub action: Selection,
-}
-
-/// Decision-provenance context threaded into the core run loop: an
-/// optional sink receiving one record per decision, an optional forced
-/// alternative for counterfactual replay, and the decision-index
-/// offset when branching from a checkpoint. Plain runs pass none of
-/// these and every decision site reduces to one u64 increment.
-struct DecisionCtx<'a> {
-    sink: Option<&'a mut dyn DecisionSink>,
-    forced: Option<ForcedDecision>,
-    /// Decisions the snapshotted prefix already made (resume only).
-    k_offset: u64,
-}
-
-impl DecisionCtx<'_> {
-    fn none() -> Self {
-        DecisionCtx {
-            sink: None,
-            forced: None,
-            k_offset: 0,
-        }
-    }
 }
 
 /// The run loop's handle on decision provenance (mirror of [`Tracer`]).
@@ -345,14 +321,17 @@ struct DecisionTracer<'a> {
 }
 
 impl<'a> DecisionTracer<'a> {
-    fn new(ctx: DecisionCtx<'a>) -> Self {
-        let on = ctx.sink.as_ref().is_some_and(|s| s.enabled());
+    /// `forced` carries the alternative and the decision-index offset
+    /// (decisions the snapshotted prefix already made; 0 from time
+    /// zero).
+    fn new(sink: Option<&'a mut dyn DecisionSink>, forced: Option<(ForcedDecision, u64)>) -> Self {
+        let on = sink.as_ref().is_some_and(|s| s.enabled());
         Self {
-            sink: ctx.sink,
+            sink,
             on,
-            k: ctx.k_offset,
+            k: forced.map_or(0, |(_, k_offset)| k_offset),
             event: 0,
-            forced: ctx.forced,
+            forced: forced.map(|(f, _)| f),
             forced_applied: false,
         }
     }
@@ -367,14 +346,17 @@ impl<'a> DecisionTracer<'a> {
         k
     }
 
-    /// Records the decision `f` builds (handing it the stamped event
-    /// count). Callers construct the record only under `self.on`.
+    /// Records the decision `build` makes (handing it the stamped event
+    /// count) when recording is on, timed as the `decision` phase. The
+    /// record — candidates, regime — is only built under that branch.
     #[inline]
-    fn emit(&mut self, f: impl FnOnce(u64) -> DecisionRecord) {
+    fn record(&mut self, prof: &mut Profiler, build: impl FnOnce(u64) -> DecisionRecord) {
         if self.on {
+            prof.enter(Phase::Decision);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record(&f(self.event));
+                sink.record(&build(self.event));
             }
+            prof.exit(Phase::Decision);
         }
     }
 
@@ -707,24 +689,6 @@ impl HealthRuntime {
     }
 }
 
-/// A borrowed routing view: the perceived membership when health is
-/// on; `None` falls back to the oracle view (`cluster.alive`).
-#[derive(Clone, Copy)]
-struct Perceived<'a> {
-    view: &'a [bool],
-    live: usize,
-}
-
-/// The `Perceived` borrow for the current health state, if any.
-macro_rules! perceived {
-    ($health:expr) => {
-        $health.as_ref().map(|h| Perceived {
-            view: &h.view,
-            live: h.perceived_live,
-        })
-    };
-}
-
 /// The resilience layer's per-run state. Constructed from the config's
 /// [`ResiliencePolicy`]; with the default (all-off) policy none of it
 /// is ever consulted on the hot path beyond one branch per site.
@@ -891,35 +855,137 @@ impl BrownoutState {
     }
 }
 
-/// Consults admission control before an enqueue. `true` admits; on
-/// refusal the query is shed on the spot (event + counters) and the
-/// caller must not enqueue it. With admission disabled this is one
-/// branch and no state is touched.
-#[allow(clippy::too_many_arguments)]
-fn try_admit(
-    q: &Query,
-    now: Nanos,
-    queue_id: QueueId,
-    queue: &VecDeque<Query>,
-    adm: &mut CoDelAdmission,
-    policy: &AdmissionPolicy,
-    metrics: &mut MetricsCollector,
-    tracer: &mut Tracer<'_>,
-) -> bool {
-    let depth = queue.len();
-    let front = queue.front().map(|h| h.enqueued_at);
-    if adm.offer(policy, now, depth, front).is_some() {
-        tracer.emit(|| Event::Admission {
-            at: now,
-            query: q.id,
-            queue: queue_id,
-            depth: depth as u32,
-            sojourn_ns: CoDelAdmission::sojourn_ns(now, front),
-        });
-        metrics.record_admission_shed(std::slice::from_ref(q));
-        false
-    } else {
-        true
+/// Re-queues `queries` at the head of `queue`, keeping their order: a
+/// displaced batch carries the earliest deadlines.
+fn push_front_all(queue: &mut VecDeque<Query>, queries: Vec<Query>, now: Nanos) {
+    for mut q in queries.into_iter().rev() {
+        q.enqueued_at = now;
+        queue.push_front(q);
+    }
+}
+
+/// The next live worker in round-robin order, advancing the cursor;
+/// `None` when every worker is dead.
+fn next_live_rr(alive: &[bool], rr_next: &mut usize) -> Option<usize> {
+    let n = alive.len();
+    for _ in 0..n {
+        let w = *rr_next;
+        *rr_next = (*rr_next + 1) % n;
+        if alive[w] {
+            return Some(w);
+        }
+    }
+    None
+}
+
+/// Where a run's arrivals come from.
+#[derive(Clone, Copy)]
+enum Arrivals<'r> {
+    /// Poisson arrivals sampled from a trace, surges applied first.
+    Trace(&'r Trace),
+    /// Explicit arrival times (seconds, sorted), replayed exactly.
+    Exact(&'r [f64]),
+}
+
+/// One run's inputs besides the scheme and the load estimator: the
+/// arrivals plus every optional attachment. Built with
+/// [`RunSpec::trace`] or [`RunSpec::arrivals`] and extended by the
+/// chained setters; [`Simulation::execute`] runs it. Observers
+/// (telemetry, decisions, profiler, checkpoint recorder) never change
+/// the simulated run: its report is byte-identical with or without
+/// them.
+pub struct RunSpec<'r> {
+    arrivals: Arrivals<'r>,
+    plan: Option<&'r FaultPlan>,
+    sink: Option<&'r mut dyn TelemetrySink>,
+    decisions: Option<&'r mut dyn DecisionSink>,
+    profiler: Option<&'r mut Profiler>,
+    recorder: Option<&'r mut dyn CheckpointRecorder>,
+    resume: Option<&'r EngineSnapshot>,
+    forced: Option<(ForcedDecision, u64)>,
+}
+
+impl<'r> RunSpec<'r> {
+    fn new(arrivals: Arrivals<'r>) -> Self {
+        Self {
+            arrivals,
+            plan: None,
+            sink: None,
+            decisions: None,
+            profiler: None,
+            recorder: None,
+            resume: None,
+            forced: None,
+        }
+    }
+
+    /// Poisson arrivals sampled from `trace` with the config's arrival
+    /// seed; arrival surges in the fault plan scale the trace first.
+    pub fn trace(trace: &'r Trace) -> Self {
+        Self::new(Arrivals::Trace(trace))
+    }
+
+    /// Explicit arrival times (seconds, sorted), replayed exactly as
+    /// given: arrival surges in the fault plan are ignored.
+    pub fn arrivals(arrivals: &'r [f64]) -> Self {
+        Self::new(Arrivals::Exact(arrivals))
+    }
+
+    /// Injects `plan`'s faults: crashes, recoveries, slowdowns, flaps,
+    /// error rates and partitions play back through the event heap.
+    pub fn faults(mut self, plan: &'r FaultPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Emits every lifecycle and audit event into `sink`. Same seeds
+    /// give a byte-identical event stream.
+    pub fn telemetry(mut self, sink: &'r mut dyn TelemetrySink) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Emits every selection, shed, retry, and hedge decision into
+    /// `sink` as a [`DecisionRecord`].
+    pub fn decisions(mut self, sink: &'r mut dyn DecisionSink) -> Self {
+        self.decisions = Some(sink);
+        self
+    }
+
+    /// Attaches the engine's self-profiler: wall-clock phase timings
+    /// and hot-path counters, never the simulated clock.
+    pub fn profiler(mut self, prof: &'r mut Profiler) -> Self {
+        self.profiler = Some(prof);
+        self
+    }
+
+    /// Snapshots the complete engine state into `recorder` at the
+    /// cadence the config's [`CheckpointPolicy`] sets. A recorder that
+    /// declines a snapshot stops the run with
+    /// [`SimError::Interrupted`].
+    pub fn checkpoints(mut self, recorder: &'r mut dyn CheckpointRecorder) -> Self {
+        self.recorder = Some(recorder);
+        self
+    }
+
+    /// Continues an interrupted run from `snapshot`. The trace, plan,
+    /// config, and scheme must be the ones it was taken under; the
+    /// report and every event emitted are byte-identical to the
+    /// uninterrupted run's suffix past the snapshot point.
+    pub fn resume_from(mut self, snapshot: &'r EngineSnapshot) -> Self {
+        self.resume = Some(snapshot);
+        self
+    }
+
+    /// Replaces the scheme's selection at decision `forced.k` with
+    /// `forced.action` (a counterfactual replay). `k_offset` is the
+    /// number of decisions made before the run starts: 0 from time
+    /// zero; when resuming, the factual records with
+    /// `record.event < snapshot.meta.events_done`. Forcing the
+    /// factual run's own raw choice reproduces its report exactly.
+    pub fn force(mut self, forced: ForcedDecision, k_offset: u64) -> Self {
+        self.forced = Some((forced, k_offset));
+        self
     }
 }
 
@@ -998,111 +1064,134 @@ impl<'a> Simulation<'a> {
 
     /// Runs `scheme` over Poisson arrivals sampled from `trace`,
     /// reporting per-query outcomes. `estimator` is the load monitor
-    /// shared by all evaluated systems (§6).
+    /// shared by all evaluated systems (§6). Shorthand for
+    /// [`Self::execute`] with nothing attached.
     pub fn run(
         &self,
         trace: &Trace,
         scheme: &mut dyn ServingScheme,
         estimator: &mut dyn LoadEstimator,
     ) -> SimulationReport {
-        self.run_faulted(trace, &FaultPlan::none(), scheme, estimator)
-            .expect("empty fault plan always validates")
+        self.execute(RunSpec::trace(trace), scheme, estimator)
+            .expect("a run with nothing attached has nothing to refuse")
     }
 
-    /// Runs `scheme` over Poisson arrivals sampled from `trace` with
-    /// `plan`'s faults injected. Arrival surges scale the trace before
-    /// sampling; crashes, recoveries, and slowdowns play back through
-    /// the event heap. Same seeds + same plan give identical reports.
+    /// Runs `spec` with `scheme` selecting and `estimator` monitoring
+    /// the load — the one entry point every run goes through. Same
+    /// seeds and spec give identical reports.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_faulted(
+    /// Returns [`SimError::InvalidConfig`] when the fault plan fails
+    /// [`FaultPlan::validate`] for this cluster; a recorder is attached
+    /// but the checkpoint policy is disabled; a recorder or a resume
+    /// snapshot is used with a scheme or estimator that cannot
+    /// checkpoint; the snapshot does not belong to this run; or the
+    /// forced decision is out of range, precedes `k_offset`, or is
+    /// never reached. Returns [`SimError::Interrupted`] when the
+    /// checkpoint recorder stops the run mid-flight.
+    pub fn execute(
         &self,
-        trace: &Trace,
-        plan: &FaultPlan,
+        spec: RunSpec<'_>,
         scheme: &mut dyn ServingScheme,
         estimator: &mut dyn LoadEstimator,
     ) -> Result<SimulationReport, SimError> {
-        self.run_faulted_traced(trace, plan, scheme, estimator, &mut NullSink)
-    }
-
-    /// [`Self::run`] with every lifecycle and audit event emitted into
-    /// `sink`. Same seeds give a byte-identical event stream.
-    pub fn run_traced(
-        &self,
-        trace: &Trace,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-    ) -> SimulationReport {
-        self.run_faulted_traced(trace, &FaultPlan::none(), scheme, estimator, sink)
-            .expect("empty fault plan always validates")
-    }
-
-    /// [`Self::run_faulted`] with telemetry emitted into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_faulted_traced(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<SimulationReport, SimError> {
-        self.run_faulted_traced_profiled(trace, plan, scheme, estimator, sink, &mut Profiler::off())
-    }
-
-    /// [`Self::run`] with the engine's self-profiler attached (no
-    /// faults, no telemetry). The profiler observes wall-clock phases
-    /// and hot-path counters only — the simulated run, its report, and
-    /// any event stream are bit-identical whether the profiler is on,
-    /// off, or absent (asserted in the integration suite).
-    pub fn run_profiled(
-        &self,
-        trace: &Trace,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        prof: &mut Profiler,
-    ) -> SimulationReport {
-        self.run_faulted_traced_profiled(
-            trace,
-            &FaultPlan::none(),
-            scheme,
-            estimator,
-            &mut NullSink,
-            prof,
-        )
-        .expect("empty fault plan always validates")
-    }
-
-    /// [`Self::run_faulted_traced`] with the self-profiler attached —
-    /// faults, telemetry, and profiling in one run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_faulted_traced_profiled(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        prof: &mut Profiler,
-    ) -> Result<SimulationReport, SimError> {
+        let RunSpec {
+            arrivals,
+            plan,
+            sink,
+            decisions,
+            profiler,
+            recorder,
+            resume,
+            forced,
+        } = spec;
+        if let Some((f, k_offset)) = forced {
+            self.validate_forced(&f, k_offset)?;
+        }
+        let no_faults = FaultPlan::none();
+        let plan = plan.unwrap_or(&no_faults);
         plan.validate(self.config.workers)?;
+        if recorder.is_some() && !self.config.checkpoint.enabled {
+            return Err(SimError::InvalidConfig(
+                "checkpoint recorder attached but the checkpoint policy is disabled; \
+                 enable it via SimulationConfig::with_checkpoints"
+                    .to_string(),
+            ));
+        }
+        if recorder.is_some() || resume.is_some() {
+            if scheme.checkpoint_state().is_none() {
+                return Err(SimError::InvalidConfig(format!(
+                    "scheme `{}` does not support checkpointing",
+                    scheme.name()
+                )));
+            }
+            if estimator.checkpoint_state().is_none() {
+                return Err(SimError::InvalidConfig(
+                    "load estimator does not support checkpointing".to_string(),
+                ));
+            }
+        }
+        let mut null_sink = NullSink;
+        let mut prof_off = Profiler::off();
+        let prof = profiler.unwrap_or(&mut prof_off);
         prof.run_begin();
         prof.enter(Phase::Setup);
-        let arrivals = self.sampled_arrivals(trace, plan);
-        prof.exit(Phase::Setup);
-        self.run_arrivals_faulted_traced_profiled(&arrivals, plan, scheme, estimator, sink, prof)
+        let sampled;
+        let arrivals = match arrivals {
+            Arrivals::Trace(trace) => {
+                sampled = self.sampled_arrivals(trace, plan);
+                &sampled[..]
+            }
+            Arrivals::Exact(arrivals) => arrivals,
+        };
+        let sink: &mut dyn TelemetrySink = match sink {
+            Some(sink) => sink,
+            None => &mut null_sink,
+        };
+        // The casts shorten the attached trait objects' lifetimes to
+        // this run's (`&mut` is invariant, so it takes a coercion).
+        let observers = Observers {
+            tracer: Tracer::new(sink),
+            dec: DecisionTracer::new(decisions.map(|d| d as &mut dyn DecisionSink), forced),
+            prof: &mut *prof,
+            recorder: recorder.map(|r| r as &mut dyn CheckpointRecorder),
+        };
+        let mut engine = Engine::new(self, arrivals, plan, scheme, estimator, observers);
+        engine.prof.exit(Phase::Setup);
+        let result = match resume {
+            Some(snap) => engine.resume_from(snap).and_then(|()| engine.run()),
+            None => engine.run(),
+        };
+        prof.run_end();
+        result
+    }
+
+    /// [`Self::execute`] over `trace` with faults, telemetry, decisions
+    /// and the profiler attached. Kept only as a forward because the
+    /// standalone `perfbench` harness calls it by this name and
+    /// signature; new code builds a [`RunSpec`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::execute`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_faulted_traced_decisions_profiled(
+        &self,
+        trace: &Trace,
+        plan: &FaultPlan,
+        scheme: &mut dyn ServingScheme,
+        estimator: &mut dyn LoadEstimator,
+        sink: &mut dyn TelemetrySink,
+        decisions: &mut dyn DecisionSink,
+        prof: &mut Profiler,
+    ) -> Result<SimulationReport, SimError> {
+        let spec = RunSpec::trace(trace)
+            .faults(plan)
+            .telemetry(sink)
+            .decisions(decisions)
+            .profiler(prof);
+        self.execute(spec, scheme, estimator)
     }
 
     /// Samples the run's Poisson arrivals: surges from `plan` scale the
@@ -1118,426 +1207,9 @@ impl<'a> Simulation<'a> {
         sample_poisson_arrivals(&surged, &mut rng)
     }
 
-    /// [`Self::run_faulted_traced`] with checkpointing: at the cadence
-    /// the config's [`CheckpointPolicy`] sets, the engine snapshots its
-    /// complete state into `recorder`. Returns `Ok(None)` when the
-    /// recorder stops the run mid-flight (a simulated kill, or a failed
-    /// checkpoint write — see [`crate::checkpoint::FileRecorder`]);
-    /// otherwise the report is identical to the recorder-less run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan is invalid for
-    /// this cluster, the checkpoint policy is disabled, or the scheme /
-    /// estimator does not support checkpointing.
-    pub fn run_durable(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        recorder: &mut dyn CheckpointRecorder,
-    ) -> Result<Option<SimulationReport>, SimError> {
-        self.run_durable_profiled(
-            trace,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            recorder,
-            &mut Profiler::off(),
-        )
-    }
-
-    /// [`Self::run_durable`] with the self-profiler attached; snapshot
-    /// capture and the recorder's write are attributed to the
-    /// `checkpoint` phase (the `checkpoint_overhead` bench gates on
-    /// it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::run_durable`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_durable_profiled(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        recorder: &mut dyn CheckpointRecorder,
-        prof: &mut Profiler,
-    ) -> Result<Option<SimulationReport>, SimError> {
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        prof.run_begin();
-        let report = self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            prof,
-            DurableCtx {
-                recorder: Some(recorder),
-                resume: None,
-            },
-            DecisionCtx::none(),
-        )?;
-        prof.run_end();
-        Ok(report)
-    }
-
-    /// Continues an interrupted run from `snapshot` to completion. The
-    /// trace, fault plan, config, and scheme must be the ones the
-    /// snapshot was taken under (validated via seeds, pool size, SLO,
-    /// scheme name, and an arrival fingerprint). The resumed run's
-    /// report — and every telemetry event it emits into `sink` — is
-    /// byte-identical to the uninterrupted run's suffix past the
-    /// snapshot point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the snapshot does not
-    /// match this run or the scheme / estimator refuses its state.
-    pub fn resume(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        snapshot: &EngineSnapshot,
-    ) -> Result<SimulationReport, SimError> {
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        let report = self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            &mut Profiler::off(),
-            DurableCtx {
-                recorder: None,
-                resume: Some(snapshot),
-            },
-            DecisionCtx::none(),
-        )?;
-        Ok(report.expect("run without recorder always completes"))
-    }
-
-    /// [`Self::resume`] with checkpointing still on: the continued run
-    /// keeps snapshotting into `recorder` at the configured cadence
-    /// (cadence points line up with the uninterrupted run's). Returns
-    /// `Ok(None)` when the recorder stops the run again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] under the union of
-    /// [`Self::run_durable`]'s and [`Self::resume`]'s conditions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resume_durable(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        snapshot: &EngineSnapshot,
-        recorder: &mut dyn CheckpointRecorder,
-    ) -> Result<Option<SimulationReport>, SimError> {
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            &mut Profiler::off(),
-            DurableCtx {
-                recorder: Some(recorder),
-                resume: Some(snapshot),
-            },
-            DecisionCtx::none(),
-        )
-    }
-
-    /// Runs `scheme` over explicit arrival times (seconds, sorted).
-    pub fn run_arrivals(
-        &self,
-        arrivals: &[f64],
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-    ) -> SimulationReport {
-        self.run_arrivals_faulted(arrivals, &FaultPlan::none(), scheme, estimator)
-            .expect("empty fault plan always validates")
-    }
-
-    /// [`Self::run_arrivals`] with telemetry emitted into `sink`.
-    pub fn run_arrivals_traced(
-        &self,
-        arrivals: &[f64],
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-    ) -> SimulationReport {
-        self.run_arrivals_faulted_traced(arrivals, &FaultPlan::none(), scheme, estimator, sink)
-            .expect("empty fault plan always validates")
-    }
-
-    /// Runs `scheme` over explicit arrival times with `plan`'s crash /
-    /// recovery / slowdown faults injected. Arrival surges in the plan
-    /// are ignored here: explicit arrivals are replayed exactly as
-    /// given (use [`Self::run_faulted`] for surge scaling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_arrivals_faulted(
-        &self,
-        arrivals: &[f64],
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-    ) -> Result<SimulationReport, SimError> {
-        self.run_arrivals_faulted_traced(arrivals, plan, scheme, estimator, &mut NullSink)
-    }
-
-    /// [`Self::run_arrivals_faulted`] with telemetry emitted into
-    /// `sink` — the fully general entry point every other run method
-    /// funnels into.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_arrivals_faulted_traced(
-        &self,
-        arrivals: &[f64],
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<SimulationReport, SimError> {
-        self.run_arrivals_faulted_traced_profiled(
-            arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            &mut Profiler::off(),
-        )
-    }
-
-    /// [`Self::run_arrivals_faulted_traced`] with the self-profiler
-    /// attached — the fully general entry point every other run method
-    /// funnels into. The profiler records wall-clock phase timings and
-    /// hot-path counters (heap traffic, dispatches, policy lookups,
-    /// retry/hedge bookkeeping) without touching the simulated clock:
-    /// profiled and unprofiled runs are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_arrivals_faulted_traced_profiled(
-        &self,
-        arrivals: &[f64],
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        prof: &mut Profiler,
-    ) -> Result<SimulationReport, SimError> {
-        let report = self.run_core(
-            arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            prof,
-            DurableCtx::none(),
-            DecisionCtx::none(),
-        )?;
-        Ok(report.expect("run without recorder always completes"))
-    }
-
-    /// [`Self::run_faulted_traced`] with decision provenance attached:
-    /// every selection, shed, retry, and hedge decision is emitted into
-    /// `decisions` as a [`DecisionRecord`]. With a disabled sink the
-    /// run is bit-identical to [`Self::run_faulted_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// [`FaultPlan::validate`] for this cluster size.
-    pub fn run_faulted_traced_decisions(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        decisions: &mut dyn DecisionSink,
-    ) -> Result<SimulationReport, SimError> {
-        self.run_faulted_traced_decisions_profiled(
-            trace,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            decisions,
-            &mut Profiler::off(),
-        )
-    }
-
-    /// [`Self::run_faulted_traced_decisions`] with the self-profiler
-    /// attached; record construction is attributed to the `decision`
-    /// phase (the `decision_overhead` bench gates on it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::run_faulted_traced_decisions`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_faulted_traced_decisions_profiled(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        decisions: &mut dyn DecisionSink,
-        prof: &mut Profiler,
-    ) -> Result<SimulationReport, SimError> {
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        prof.run_begin();
-        let report = self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            prof,
-            DurableCtx::none(),
-            DecisionCtx {
-                sink: Some(decisions),
-                forced: None,
-                k_offset: 0,
-            },
-        )?;
-        prof.run_end();
-        Ok(report.expect("run without recorder always completes"))
-    }
-
-    /// Re-runs a seeded scenario with a single forced alternative: at
-    /// decision index `forced.k` (the `k` stamped into the factual
-    /// run's [`DecisionRecord`]s) the scheme's pick is replaced by
-    /// `forced.action`; everything else replays deterministically.
-    /// Forcing the factual run's own raw `chosen` action reproduces its
-    /// report byte-identically — the exact-regret baseline.
-    ///
-    /// Only selection-site decisions (reason `PolicyLookup`,
-    /// `Fallback`, `DegradedRung`, or `Shed` at a dispatch site) can be
-    /// forced; retry/hedge/timeout decisions advance `k` but are not
-    /// branch points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the plan fails
-    /// validation, the forced model is out of range, or decision
-    /// `forced.k` is never reached (or is not a selection site).
-    pub fn replay_counterfactual(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        forced: ForcedDecision,
-    ) -> Result<SimulationReport, SimError> {
-        self.validate_forced(&forced)?;
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        let report = self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            &mut Profiler::off(),
-            DurableCtx::none(),
-            DecisionCtx {
-                sink: None,
-                forced: Some(forced),
-                k_offset: 0,
-            },
-        )?;
-        Ok(report.expect("run without recorder always completes"))
-    }
-
-    /// [`Self::replay_counterfactual`] branching from a checkpoint
-    /// instead of replaying from time zero: the run resumes at
-    /// `snapshot` and forces `forced.action` at decision `forced.k`.
-    /// `k_offset` is the number of decisions the factual run had made
-    /// by the snapshot point — count the factual records with
-    /// `record.event < snapshot.meta.events_done` — so record indices
-    /// keep lining up with the full run's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the snapshot does not
-    /// match this run, `forced.k < k_offset` (the branch point is
-    /// before the snapshot), or the forced decision is invalid / never
-    /// reached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn replay_counterfactual_from(
-        &self,
-        trace: &Trace,
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        snapshot: &EngineSnapshot,
-        k_offset: u64,
-        forced: ForcedDecision,
-    ) -> Result<SimulationReport, SimError> {
-        self.validate_forced(&forced)?;
-        if forced.k < k_offset {
-            return Err(SimError::InvalidConfig(format!(
-                "counterfactual: forced decision k={} precedes the snapshot (k_offset={}); \
-                 branch from an earlier checkpoint",
-                forced.k, k_offset
-            )));
-        }
-        plan.validate(self.config.workers)?;
-        let arrivals = self.sampled_arrivals(trace, plan);
-        let report = self.run_core(
-            &arrivals,
-            plan,
-            scheme,
-            estimator,
-            sink,
-            &mut Profiler::off(),
-            DurableCtx {
-                recorder: None,
-                resume: Some(snapshot),
-            },
-            DecisionCtx {
-                sink: None,
-                forced: Some(forced),
-                k_offset,
-            },
-        )?;
-        Ok(report.expect("run without recorder always completes"))
-    }
-
-    /// Rejects forced actions no worker in the pool could execute.
-    fn validate_forced(&self, forced: &ForcedDecision) -> Result<(), SimError> {
+    /// Rejects forced actions no worker in the pool could execute, and
+    /// branch points before the run's first decision.
+    fn validate_forced(&self, forced: &ForcedDecision, k_offset: u64) -> Result<(), SimError> {
         if let Selection::Serve { model, .. } = forced.action {
             let n_models = self
                 .profiles
@@ -1552,1747 +1224,334 @@ impl<'a> Simulation<'a> {
                 )));
             }
         }
+        if forced.k < k_offset {
+            return Err(SimError::InvalidConfig(format!(
+                "counterfactual: forced decision k={} precedes the snapshot (k_offset={}); \
+                 branch from an earlier checkpoint",
+                forced.k, k_offset
+            )));
+        }
         Ok(())
     }
+}
 
-    /// The run loop every entry point funnels into. `durable` threads
-    /// the checkpoint/resume context; with neither a recorder nor a
-    /// resume snapshot the loop is bit-identical to the pre-checkpoint
-    /// engine. Returns `Ok(None)` only when an attached recorder stops
-    /// the run mid-flight.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn run_core(
-        &self,
-        arrivals: &[f64],
-        plan: &FaultPlan,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        sink: &mut dyn TelemetrySink,
-        prof: &mut Profiler,
-        mut durable: DurableCtx<'_>,
-        decisions: DecisionCtx<'_>,
-    ) -> Result<Option<SimulationReport>, SimError> {
-        plan.validate(self.config.workers)?;
-        let ckpt = self.config.checkpoint;
-        if durable.recorder.is_some() && !ckpt.enabled {
-            return Err(SimError::InvalidConfig(
-                "checkpoint recorder attached but the checkpoint policy is disabled; \
-                 enable it via SimulationConfig::with_checkpoints"
-                    .to_string(),
-            ));
-        }
-        if durable.recorder.is_some() || durable.resume.is_some() {
-            if scheme.checkpoint_state().is_none() {
-                return Err(SimError::InvalidConfig(format!(
-                    "scheme `{}` does not support checkpointing",
-                    scheme.name()
-                )));
-            }
-            if estimator.checkpoint_state().is_none() {
-                return Err(SimError::InvalidConfig(
-                    "load estimator does not support checkpointing".to_string(),
-                ));
-            }
-        }
-        prof.run_begin();
-        prof.enter(Phase::Setup);
-        let mut tracer = Tracer::new(sink);
-        let mut dec = DecisionTracer::new(decisions);
-        scheme.set_audit(tracer.on);
-        let slo = nanos_from_secs(self.config.slo_s);
-        let autoscale = self.config.autoscale;
+/// The observers a run attaches, handed to [`Engine::new`] in one piece.
+struct Observers<'r> {
+    tracer: Tracer<'r>,
+    dec: DecisionTracer<'r>,
+    prof: &'r mut Profiler,
+    recorder: Option<&'r mut dyn CheckpointRecorder>,
+}
+
+/// The pending-event heap and its tie-breaking sequence counter.
+struct Schedule {
+    heap: EventHeap,
+    seq: u64,
+}
+
+impl Schedule {
+    /// Schedules `kind` at `at`; the sequence number keeps same-time
+    /// events in push order.
+    #[inline]
+    fn push(&mut self, prof: &mut Profiler, at: Nanos, kind: EventKind) {
+        self.heap.push(Reverse((at, self.seq, kind)));
+        self.seq += 1;
+        prof.incr(HotCounter::HeapPushes);
+    }
+}
+
+/// One run in progress: the queues, the cluster, the event heap, every
+/// per-run runtime (resilience, autoscale, brownout, health), the
+/// latency sampler, the metrics, and the attached observers. The run
+/// loop pops an event and hands it to the method for its
+/// [`EventKind`]; [`Engine::snapshot`] serializes exactly this state
+/// and [`Engine::resume_from`] restores it.
+struct Engine<'r> {
+    sim: &'r Simulation<'r>,
+    arrivals: &'r [f64],
+    plan: &'r FaultPlan,
+    /// The plan's timed membership actions; `EventKind::Fault` indexes
+    /// into it.
+    actions: Vec<(Nanos, FaultAction)>,
+    scheme: &'r mut dyn ServingScheme,
+    estimator: &'r mut dyn LoadEstimator,
+    tracer: Tracer<'r>,
+    dec: DecisionTracer<'r>,
+    prof: &'r mut Profiler,
+    recorder: Option<&'r mut dyn CheckpointRecorder>,
+    routing: Routing,
+    slo: Nanos,
+    sampler: LatencySampler,
+    metrics: MetricsCollector,
+    /// Per-worker queues (per-worker routing) or one central queue.
+    worker_queues: Vec<VecDeque<Query>>,
+    central_queue: VecDeque<Query>,
+    /// Queries with no live worker to go to (per-worker routing under
+    /// a full outage); drained to the first worker that recovers.
+    limbo: VecDeque<Query>,
+    rr_next: usize,
+    cluster: Cluster,
+    resil: ResilienceRuntime,
+    events: Schedule,
+    /// Autoscaler and brownout state; `None` when the subsystem is off,
+    /// so the run takes exactly the fixed-pool paths.
+    scale: Option<AutoscaleRuntime>,
+    brown: Option<BrownoutState>,
+    /// Failure detector and perceived view; `None` with health off, so
+    /// the run takes exactly the oracle-membership paths.
+    health: Option<HealthRuntime>,
+    /// Whether the plan injects gray batch errors, and the seed of the
+    /// stateless per-batch draw.
+    has_batch_errors: bool,
+    err_seed: u64,
+    horizon: Nanos,
+    /// Heap events fully processed.
+    events_done: u64,
+    /// Checkpoint cadence: the sim-time period (0 = off) and the next
+    /// due points by time and by event count (`u64::MAX` = off).
+    ckpt_period_ns: Nanos,
+    next_ckpt_ns: Nanos,
+    next_ckpt_events: u64,
+    /// Fingerprint of `arrivals`, computed only for durable runs.
+    arrivals_hash: u64,
+}
+
+impl<'r> Engine<'r> {
+    /// Sets up a run from time zero: the first arrival, every fault
+    /// action, and the first autoscale and health ticks are scheduled.
+    fn new(
+        sim: &'r Simulation<'r>,
+        arrivals: &'r [f64],
+        plan: &'r FaultPlan,
+        scheme: &'r mut dyn ServingScheme,
+        estimator: &'r mut dyn LoadEstimator,
+        obs: Observers<'r>,
+    ) -> Self {
+        let config = &sim.config;
+        scheme.set_audit(obs.tracer.on);
+        let autoscale = config.autoscale;
         // With autoscaling every per-worker structure is sized to the
         // pool ceiling; slots beyond the initial pool start Down.
         let n_workers = if autoscale.enabled {
-            autoscale.max_workers.max(self.config.workers)
+            autoscale.max_workers.max(config.workers)
         } else {
-            self.config.workers
+            config.workers
         };
-        let routing = scheme.routing();
-
-        let mut sampler = LatencySampler::new(self.config.latency, self.config.latency_seed);
-        let mut metrics = match self.config.timeline_window_s {
+        let mut metrics = match config.timeline_window_s {
             Some(w) => MetricsCollector::new().with_timeline(w),
             None => MetricsCollector::new(),
         };
         if !plan.is_empty() {
             metrics = metrics.with_fault_windows(plan.fault_windows());
         }
-
-        // Per-worker queues (per-worker routing) or one central queue.
-        let mut worker_queues: Vec<VecDeque<Query>> = vec![VecDeque::new(); n_workers];
-        let mut central_queue: VecDeque<Query> = VecDeque::new();
-        let mut cluster = Cluster::elastic(n_workers, self.config.workers);
-        // Queries with no live worker to go to (per-worker routing under
-        // a full outage); drained to the first worker that recovers.
-        let mut limbo: VecDeque<Query> = VecDeque::new();
-        let mut rr_next = 0usize;
-        let mut resil = ResilienceRuntime::new(self.config.resilience, n_workers);
-
-        let actions = expand_fault_actions(plan);
-
-        let mut heap: EventHeap = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, &(t, _)) in actions.iter().enumerate() {
-            heap.push(Reverse((t, seq, EventKind::Fault(i as u32))));
-            seq += 1;
+        let ckpt = config.checkpoint;
+        let ckpt_period_ns = if ckpt.every_sim_s > 0.0 {
+            nanos_from_secs(ckpt.every_sim_s).max(1)
+        } else {
+            0
+        };
+        let mut engine = Engine {
+            sim,
+            arrivals,
+            plan,
+            actions: expand_fault_actions(plan),
+            routing: scheme.routing(),
+            scheme,
+            estimator,
+            tracer: obs.tracer,
+            dec: obs.dec,
+            prof: obs.prof,
+            arrivals_hash: if obs.recorder.is_some() {
+                arrivals_fingerprint(arrivals)
+            } else {
+                0
+            },
+            recorder: obs.recorder,
+            slo: nanos_from_secs(config.slo_s),
+            sampler: LatencySampler::new(config.latency, config.latency_seed),
+            metrics,
+            worker_queues: vec![VecDeque::new(); n_workers],
+            central_queue: VecDeque::new(),
+            limbo: VecDeque::new(),
+            rr_next: 0,
+            cluster: Cluster::elastic(n_workers, config.workers),
+            resil: ResilienceRuntime::new(config.resilience, n_workers),
+            events: Schedule {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            },
+            scale: None,
+            brown: None,
+            health: None,
+            // Gray batch-error faults are plan physics, not detector
+            // behavior: they fire with health on or off. The draw is
+            // stateless — keyed on (seed, worker, dispatch time) — so a
+            // resumed run replays every outcome exactly.
+            has_batch_errors: plan
+                .events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::WorkerErrorRate { .. })),
+            err_seed: splitmix64(config.arrival_seed ^ 0xE44A_575D_11CE_A57E),
+            horizon: 0,
+            events_done: 0,
+            ckpt_period_ns,
+            next_ckpt_ns: ckpt_period_ns,
+            // Event-count cadence as a precomputed target rather than a
+            // per-event modulo: one u64 compare on the hot path.
+            next_ckpt_events: if ckpt.every_events > 0 {
+                ckpt.every_events
+            } else {
+                u64::MAX
+            },
+        };
+        for i in 0..engine.actions.len() {
+            let t = engine.actions[i].0;
+            engine
+                .events
+                .push(engine.prof, t, EventKind::Fault(i as u32));
         }
-        prof.incr_by(HotCounter::HeapPushes, actions.len() as u64);
-        if !arrivals.is_empty() {
-            heap.push(Reverse((
-                nanos_from_secs(arrivals[0]),
-                seq,
-                EventKind::Arrival(0),
-            )));
-            seq += 1;
-            prof.incr(HotCounter::HeapPushes);
-        }
+        let Some(&last) = arrivals.last() else {
+            return engine;
+        };
+        engine.events.push(
+            engine.prof,
+            nanos_from_secs(arrivals[0]),
+            EventKind::Arrival(0),
+        );
+        let tick_end = nanos_from_secs(last);
         // The autoscaler's state and its first controller tick. Nothing
         // here runs when the policy is disabled, so the event stream and
         // the report stay byte-identical to the fixed-pool engine.
-        let mut scale: Option<AutoscaleRuntime> = None;
-        let mut brown: Option<BrownoutState> = None;
-        if autoscale.enabled && !arrivals.is_empty() {
-            let tick_end = nanos_from_secs(arrivals[arrivals.len() - 1]);
+        if autoscale.enabled {
             let rt = AutoscaleRuntime::new(
                 autoscale,
-                cluster.live,
-                self.profiles[0].n_models(),
+                engine.cluster.live,
+                sim.profiles[0].n_models(),
                 tick_end,
             );
-            heap.push(Reverse((rt.tick_ns, seq, EventKind::ScaleTick)));
-            seq += 1;
-            prof.incr(HotCounter::HeapPushes);
-            scale = Some(rt);
-            brown = Some(BrownoutState::new(self.profiles[0]));
+            engine
+                .events
+                .push(engine.prof, rt.tick_ns, EventKind::ScaleTick);
+            engine.scale = Some(rt);
+            engine.brown = Some(BrownoutState::new(sim.profiles[0]));
         }
         // The failure detector and the perceived-membership view. As
         // with autoscaling, nothing here runs when the policy is
         // disabled, so the event stream and the report stay
         // byte-identical to the oracle-membership engine.
-        let mut health: Option<HealthRuntime> = None;
-        if self.config.health.enabled && !arrivals.is_empty() {
-            let tick_ns = nanos_from_secs(self.config.health.probe_interval_s).max(1);
+        if config.health.enabled {
+            let tick_ns = nanos_from_secs(config.health.probe_interval_s).max(1);
             let mut hs = HealthRuntime {
-                monitor: HealthMonitor::new(self.config.health, n_workers, 0),
+                monitor: HealthMonitor::new(config.health, n_workers, 0),
                 view: vec![false; n_workers],
                 perceived_live: 0,
                 tick_ns,
-                tick_end: nanos_from_secs(arrivals[arrivals.len() - 1]),
+                tick_end,
             };
-            hs.rebuild_view(&cluster);
-            heap.push(Reverse((tick_ns, seq, EventKind::HealthTick)));
-            seq += 1;
-            prof.incr(HotCounter::HeapPushes);
-            health = Some(hs);
+            hs.rebuild_view(&engine.cluster);
+            engine
+                .events
+                .push(engine.prof, tick_ns, EventKind::HealthTick);
+            engine.health = Some(hs);
         }
-        // Gray batch-error faults are plan physics, not detector
-        // behavior: they fire with health on or off. The draw is
-        // stateless — keyed on (seed, worker, dispatch time) — so a
-        // resumed run replays every outcome exactly.
-        let has_batch_errors = plan
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::WorkerErrorRate { .. }));
-        let err_seed = splitmix64(self.config.arrival_seed ^ 0xE44A_575D_11CE_A57E);
-        prof.exit(Phase::Setup);
+        engine
+    }
 
-        let mut horizon: Nanos = 0;
-        // Checkpoint bookkeeping. `events_done` counts processed heap
-        // events; the sim-time cadence fires when `now` crosses each
-        // multiple of the period. All of it is dead weight (one counter
-        // increment, one branch) unless a recorder is attached.
-        let mut events_done: u64 = 0;
-        let ckpt_period_ns: Nanos = if ckpt.every_sim_s > 0.0 {
-            nanos_from_secs(ckpt.every_sim_s).max(1)
-        } else {
-            0
-        };
-        let mut next_ckpt_ns: Nanos = ckpt_period_ns;
-        // Event-count cadence as a precomputed target rather than a
-        // per-event modulo: one u64 compare on the hot path.
-        let mut next_ckpt_events: u64 = if ckpt.every_events > 0 {
-            ckpt.every_events
-        } else {
-            u64::MAX
-        };
-        let arrivals_hash = if durable.recorder.is_some() || durable.resume.is_some() {
-            arrivals_fingerprint(arrivals)
-        } else {
-            0
-        };
+    /// Workers the run is sized for (the autoscale ceiling when on).
+    fn n_workers(&self) -> usize {
+        self.cluster.alive.len()
+    }
 
-        if let Some(snap) = durable.resume {
-            self.validate_snapshot(snap, scheme.name(), arrivals, arrivals_hash, n_workers)?;
-            // The snapshot's heap already holds everything still
-            // pending, including the setup-time pushes (fault actions,
-            // the in-progress arrival chain, the next scale tick) in
-            // their mid-run form — rebuild from it wholesale.
-            heap.clear();
-            for e in &snap.heap {
-                heap.push(Reverse((e.t, e.seq, EventKind::decode(e.tag, e.a, e.b)?)));
-            }
-            seq = snap.next_seq;
-            horizon = snap.horizon;
-            events_done = snap.meta.events_done;
-            tracer.emitted = snap.meta.events_emitted;
-            // The smallest cadence multiple past the snapshot's event
-            // count / time: exactly where the uninterrupted run's
-            // cadence stands. `checked_div` is `None` only for a zero
-            // divisor, i.e. that cadence dimension is off.
-            if let Some(periods) = events_done.checked_div(ckpt.every_events) {
-                next_ckpt_events = (periods + 1) * ckpt.every_events;
-            }
-            if let Some(periods) = snap.meta.sim_time_ns.checked_div(ckpt_period_ns) {
-                next_ckpt_ns = (periods + 1) * ckpt_period_ns;
-            }
-            worker_queues = snap.worker_queues.clone();
-            central_queue = snap.central_queue.clone();
-            limbo = snap.limbo.clone();
-            rr_next = snap.rr_next;
-            cluster = Cluster::restore(&snap.cluster);
-            resil.budget = snap.resilience.budget.clone();
-            resil.admission = snap.resilience.admission.clone();
-            resil.service_hist = snap.resilience.service_hist.clone();
-            resil.retry_buf = snap.resilience.retry_buf.clone();
-            sampler.restore_rng(snap.latency_rng.0, snap.latency_rng.1);
-            // Fault windows are re-derived from the plan rather than
-            // trusted to the snapshot: an unrecovered crash's window
-            // ends at +inf, which the JSON tree cannot carry (non-finite
-            // floats serialize as null).
-            metrics = snap
-                .metrics
-                .clone()
-                .with_fault_windows(plan.fault_windows());
-            match (scale.as_mut(), snap.autoscale.as_ref()) {
-                (Some(rt), Some(s)) => {
-                    rt.controller = s.controller.clone();
-                    rt.ladder = s.ladder.clone();
-                    rt.stats = s.stats.clone();
-                    rt.last_live_change = s.last_live_change;
-                    rt.live_at_change = s.live_at_change;
-                    rt.brownout_since = s.brownout_since;
-                    let b = brown
-                        .as_mut()
-                        .expect("brownout state exists with autoscale");
-                    b.rung = s.brown_rung;
-                    b.degraded = s.brown_degraded;
-                }
-                (None, None) => {}
-                (have, _) => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "snapshot {} autoscale state but the config {} it",
-                        if have.is_some() { "lacks" } else { "carries" },
-                        if have.is_some() {
-                            "enables"
-                        } else {
-                            "disables"
-                        },
-                    )));
-                }
-            }
-            match (health.as_mut(), snap.health.as_ref()) {
-                (Some(hs), Some(s)) => {
-                    hs.monitor.restore(s)?;
-                    hs.rebuild_view(&cluster);
-                }
-                (None, None) => {}
-                (have, _) => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "snapshot {} health state but the config {} it",
-                        if have.is_some() { "lacks" } else { "carries" },
-                        if have.is_some() {
-                            "enables"
-                        } else {
-                            "disables"
-                        },
-                    )));
-                }
-            }
-            scheme
-                .restore_state(&snap.scheme_state)
-                .map_err(SimError::InvalidConfig)?;
-            estimator
-                .restore_state(&snap.estimator_state)
-                .map_err(SimError::InvalidConfig)?;
+    /// Replaces the fresh state with `snap`'s, after checking the
+    /// snapshot belongs to this exact run.
+    fn resume_from(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
+        self.arrivals_hash = arrivals_fingerprint(self.arrivals);
+        self.check_snapshot(snap)?;
+        // The snapshot's heap already holds everything still pending,
+        // including the setup-time pushes (fault actions, the
+        // in-progress arrival chain, the next scale tick) in their
+        // mid-run form — rebuild from it wholesale.
+        self.events.heap.clear();
+        for e in &snap.heap {
+            self.events
+                .heap
+                .push(Reverse((e.t, e.seq, EventKind::decode(e.tag, e.a, e.b)?)));
         }
-
-        while let Some(Reverse((now, _, kind))) = heap.pop() {
-            prof.incr(HotCounter::HeapPops);
-            prof.gauge(GaugeId::HeapDepth, heap.len() as u64 + 1);
-            horizon = horizon.max(now);
-            dec.event = events_done;
-            let phase = match kind {
-                EventKind::Arrival(_) => Phase::Arrival,
-                EventKind::WorkerDone(..) => Phase::Completion,
-                EventKind::Timeout(..) => Phase::Timeout,
-                EventKind::HedgeDue(..) => Phase::Hedge,
-                EventKind::Retry(_) => Phase::Retry,
-                // Membership machinery shares the fault phase bucket.
-                EventKind::Fault(_)
-                | EventKind::ScaleTick
-                | EventKind::WarmupDone(..)
-                | EventKind::HealthTick => Phase::Fault,
-            };
-            prof.enter(phase);
-            // Labeled so handlers can bail (stale epochs, no-op
-            // faults) without skipping the phase-timer exit below.
-            'event: {
-                match kind {
-                    EventKind::Arrival(i) => {
-                        let idx = i as usize;
-                        let t = nanos_from_secs(arrivals[idx]);
-                        let q = Query::new(i, t, slo);
-                        tracer.emit(|| Event::Arrival {
-                            at: now,
-                            query: i,
-                            deadline: q.deadline,
-                        });
-                        estimator.record_arrival(secs_from_nanos(t));
-                        scheme.on_arrival(secs_from_nanos(t));
-                        tracer.drain_scheme(scheme);
-                        // Schedule the next arrival.
-                        if idx + 1 < arrivals.len() {
-                            heap.push(Reverse((
-                                nanos_from_secs(arrivals[idx + 1]),
-                                seq,
-                                EventKind::Arrival(i + 1),
-                            )));
-                            seq += 1;
-                            prof.incr(HotCounter::HeapPushes);
-                        }
-                        prof.enter(Phase::Route);
-                        self.route_query(
-                            q,
-                            now,
-                            routing,
-                            plan.crash_policy,
-                            scheme,
-                            estimator,
-                            &mut worker_queues,
-                            &mut central_queue,
-                            &mut limbo,
-                            &mut rr_next,
-                            &mut cluster,
-                            &mut resil,
-                            &mut sampler,
-                            &mut metrics,
-                            &mut heap,
-                            &mut seq,
-                            &mut tracer,
-                            prof,
-                            &mut brown,
-                            &mut dec,
-                            perceived!(health),
-                        );
-                        prof.exit(Phase::Route);
-                    }
-                    EventKind::WorkerDone(w, epoch) => {
-                        if epoch != cluster.epochs[w] {
-                            // The dispatch already ended (crash, timeout, or
-                            // hedge cancel) after this completion was
-                            // scheduled; already handled.
-                            prof.incr(HotCounter::StaleEvents);
-                            break 'event;
-                        }
-                        let fl = cluster.in_flight[w]
-                            .take()
-                            .expect("completion implies in-flight work");
-                        cluster.epochs[w] += 1;
-                        // Gray batch-error injection (plan physics, on
-                        // with or without the detector): the worker
-                        // replied, but with a retriable failure —
-                        // nothing completes, the batch goes back to a
-                        // queue head, and the attempt's time is lost as
-                        // extra wait. Hedged pairs are exempt: the twin
-                        // owns the outcome.
-                        if has_batch_errors && fl.twin.is_none() && !fl.is_hedge {
-                            let rate = plan.error_rate_at(w, secs_from_nanos(now));
-                            let draw = splitmix64(
-                                err_seed
-                                    ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                    ^ fl.started,
-                            );
-                            if rate > 0.0 && ((draw >> 11) as f64 / (1u64 << 53) as f64) < rate {
-                                cluster.busy[w] = false;
-                                if tracer.on {
-                                    for q in &fl.queries {
-                                        tracer.emit(|| Event::CrashRequeue {
-                                            at: now,
-                                            query: q.id,
-                                            from: w as u32,
-                                        });
-                                    }
-                                }
-                                metrics.record_crash_requeued(fl.queries.len() as u64);
-                                // An error reply is an ack with bad
-                                // news: the detector hears it and
-                                // strikes toward ejection.
-                                if let Some(hs) = health.as_mut() {
-                                    if let Some(info) =
-                                        hs.monitor.observe_error(w, now, cluster.down_since[w])
-                                    {
-                                        tracer.emit(|| Event::Suspect {
-                                            at: now,
-                                            worker: w as u32,
-                                            genuine: info.genuine,
-                                            lag_ns: info.lag_ns,
-                                        });
-                                        tracer.emit(|| Event::BreakerOpen {
-                                            at: now,
-                                            worker: w as u32,
-                                        });
-                                        Self::apply_suspicion(
-                                            w,
-                                            now,
-                                            routing,
-                                            scheme,
-                                            hs,
-                                            &mut worker_queues,
-                                            &mut central_queue,
-                                            &mut limbo,
-                                            &mut rr_next,
-                                            &mut metrics,
-                                            &mut tracer,
-                                        );
-                                    }
-                                }
-                                let draining = cluster.lifecycle[w] == WorkerState::Draining;
-                                if draining {
-                                    // The drain's last batch errored;
-                                    // the worker still leaves the pool,
-                                    // its batch retries elsewhere.
-                                    cluster.lifecycle[w] = WorkerState::Down;
-                                    if let Some(rt) = scale.as_mut() {
-                                        rt.stats.drains_completed += 1;
-                                    }
-                                    tracer.emit(|| Event::DrainComplete {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                }
-                                let suspected_here =
-                                    health.as_ref().is_some_and(|h| h.monitor.suspected(w));
-                                if routing == Routing::Central {
-                                    // Back to the central head: the
-                                    // batch carries the earliest
-                                    // deadlines.
-                                    for mut q in fl.queries.into_iter().rev() {
-                                        q.enqueued_at = now;
-                                        central_queue.push_front(q);
-                                    }
-                                } else if !draining && !suspected_here {
-                                    for mut q in fl.queries.into_iter().rev() {
-                                        q.enqueued_at = now;
-                                        worker_queues[w].push_front(q);
-                                    }
-                                } else {
-                                    // The errored worker is leaving (or
-                                    // ejected): its batch retries on
-                                    // the effective survivors.
-                                    let displaced = fl.queries;
-                                    match health.as_ref() {
-                                        Some(h) if h.perceived_live == 0 => {
-                                            limbo.extend(displaced);
-                                        }
-                                        Some(h) => {
-                                            for mut q in displaced {
-                                                q.enqueued_at = now;
-                                                let t = Self::next_live_rr(&h.view, &mut rr_next)
-                                                    .expect("perceived live > 0 checked");
-                                                worker_queues[t].push_back(q);
-                                            }
-                                        }
-                                        None if cluster.live == 0 => {
-                                            limbo.extend(displaced);
-                                        }
-                                        None => {
-                                            for mut q in displaced {
-                                                q.enqueued_at = now;
-                                                let t = Self::next_live_rr(
-                                                    &cluster.alive,
-                                                    &mut rr_next,
-                                                )
-                                                .expect("live > 0 checked");
-                                                worker_queues[t].push_back(q);
-                                            }
-                                        }
-                                    }
-                                }
-                                self.kick_idle_workers(
-                                    now,
-                                    routing,
-                                    scheme,
-                                    estimator,
-                                    &mut worker_queues,
-                                    &mut central_queue,
-                                    &mut cluster,
-                                    &mut resil,
-                                    &mut sampler,
-                                    &mut metrics,
-                                    &mut heap,
-                                    &mut seq,
-                                    &mut tracer,
-                                    prof,
-                                    &mut brown,
-                                    &mut dec,
-                                    perceived!(health),
-                                );
-                                break 'event;
-                            }
-                        }
-                        // First-wins: cancel the losing side of a hedged
-                        // pair before accounting the completion.
-                        let cancelled_twin = fl.twin.inspect(|&v| {
-                            let loser = cluster.in_flight[v]
-                                .take()
-                                .expect("hedge twin implies in-flight work");
-                            cluster.epochs[v] += 1;
-                            cluster.busy[v] = false;
-                            prof.incr(HotCounter::HedgesCancelled);
-                            metrics.record_hedge_cancelled(loser.started, now);
-                            if fl.is_hedge {
-                                metrics.record_hedge_win();
-                            }
-                            tracer.emit(|| Event::HedgeCancelled {
-                                at: now,
-                                worker: v as u32,
-                                winner: w as u32,
-                            });
-                        });
-                        metrics.note_regime(scheme.regime());
-                        if let Some(d) = estimator.divergence(secs_from_nanos(now)) {
-                            metrics.record_divergence(d);
-                        }
-                        metrics.record_batch(
-                            self.profile_of(w),
-                            fl.model,
-                            &fl.queries,
-                            fl.started,
-                            now,
-                        );
-                        if tracer.on {
-                            for q in &fl.queries {
-                                tracer.emit(|| Event::Complete {
-                                    at: now,
-                                    query: q.id,
-                                    worker: w as u32,
-                                    model: fl.model as u32,
-                                    response_ns: now.saturating_sub(q.arrival),
-                                    violated: now > q.deadline,
-                                });
-                            }
-                        }
-                        cluster.busy[w] = false;
-                        // Feed the detector: a completion is a liveness
-                        // ack and an outlier-ejection sample against
-                        // the profile's slow-factor-free expectation
-                        // (so a gray slowdown reads as an outlier).
-                        if let Some(hs) = health.as_mut() {
-                            if !fl.is_hedge && cancelled_twin.is_none() {
-                                let expected_ns = nanos_from_secs(
-                                    self.profile_of(w)
-                                        .latency_extrapolated(fl.model, fl.queries.len() as u32),
-                                );
-                                if let Some(info) = hs.monitor.observe_completion(
-                                    w,
-                                    now,
-                                    now.saturating_sub(fl.started),
-                                    expected_ns,
-                                    cluster.down_since[w],
-                                ) {
-                                    tracer.emit(|| Event::Suspect {
-                                        at: now,
-                                        worker: w as u32,
-                                        genuine: info.genuine,
-                                        lag_ns: info.lag_ns,
-                                    });
-                                    tracer.emit(|| Event::BreakerOpen {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                    Self::apply_suspicion(
-                                        w,
-                                        now,
-                                        routing,
-                                        scheme,
-                                        hs,
-                                        &mut worker_queues,
-                                        &mut central_queue,
-                                        &mut limbo,
-                                        &mut rr_next,
-                                        &mut metrics,
-                                        &mut tracer,
-                                    );
-                                    self.kick_idle_workers(
-                                        now,
-                                        routing,
-                                        scheme,
-                                        estimator,
-                                        &mut worker_queues,
-                                        &mut central_queue,
-                                        &mut cluster,
-                                        &mut resil,
-                                        &mut sampler,
-                                        &mut metrics,
-                                        &mut heap,
-                                        &mut seq,
-                                        &mut tracer,
-                                        prof,
-                                        &mut brown,
-                                        &mut dec,
-                                        perceived!(health),
-                                    );
-                                }
-                            }
-                        }
-                        if cluster.lifecycle[w] == WorkerState::Draining {
-                            // The drain's last in-flight batch just
-                            // finished; the worker leaves the pool.
-                            cluster.lifecycle[w] = WorkerState::Down;
-                            if let Some(rt) = scale.as_mut() {
-                                rt.stats.drains_completed += 1;
-                            }
-                            tracer.emit(|| Event::DrainComplete {
-                                at: now,
-                                worker: w as u32,
-                            });
-                        } else if health.as_ref().is_none_or(|h| !h.monitor.suspected(w)) {
-                            let queue = match routing {
-                                Routing::Central => &mut central_queue,
-                                _ => &mut worker_queues[w],
-                            };
-                            self.dispatch(
-                                w,
-                                now,
-                                scheme,
-                                estimator,
-                                queue,
-                                &mut cluster,
-                                &mut resil,
-                                &mut sampler,
-                                &mut metrics,
-                                &mut heap,
-                                &mut seq,
-                                &mut tracer,
-                                prof,
-                                &mut brown,
-                                &mut dec,
-                                health.as_ref().map(|h| h.perceived_live),
-                            );
-                        }
-                        // The freed loser picks up queued work too — or
-                        // finishes its drain if it was on the way out.
-                        if let Some(v) = cancelled_twin {
-                            if cluster.lifecycle[v] == WorkerState::Draining {
-                                cluster.lifecycle[v] = WorkerState::Down;
-                                if let Some(rt) = scale.as_mut() {
-                                    rt.stats.drains_completed += 1;
-                                }
-                                tracer.emit(|| Event::DrainComplete {
-                                    at: now,
-                                    worker: v as u32,
-                                });
-                            } else if cluster.alive[v]
-                                && !cluster.busy[v]
-                                && health.as_ref().is_none_or(|h| !h.monitor.suspected(v))
-                            {
-                                let queue = match routing {
-                                    Routing::Central => &mut central_queue,
-                                    _ => &mut worker_queues[v],
-                                };
-                                if !queue.is_empty() {
-                                    self.dispatch(
-                                        v,
-                                        now,
-                                        scheme,
-                                        estimator,
-                                        queue,
-                                        &mut cluster,
-                                        &mut resil,
-                                        &mut sampler,
-                                        &mut metrics,
-                                        &mut heap,
-                                        &mut seq,
-                                        &mut tracer,
-                                        prof,
-                                        &mut brown,
-                                        &mut dec,
-                                        health.as_ref().map(|h| h.perceived_live),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    EventKind::Timeout(w, epoch) => {
-                        if epoch != cluster.epochs[w] {
-                            prof.incr(HotCounter::StaleEvents);
-                            break 'event; // dispatch already ended
-                        }
-                        let fl = cluster.in_flight[w]
-                            .take()
-                            .expect("timeout implies in-flight work");
-                        cluster.epochs[w] += 1;
-                        cluster.busy[w] = false;
-                        if let Some(v) = fl.twin {
-                            // One side of a hedged pair timing out is just a
-                            // cancellation; the twin keeps the queries.
-                            if let Some(tw) = cluster.in_flight[v].as_mut() {
-                                tw.twin = None;
-                            }
-                            prof.incr(HotCounter::HedgesCancelled);
-                            metrics.record_hedge_cancelled(fl.started, now);
-                            tracer.emit(|| Event::HedgeCancelled {
-                                at: now,
-                                worker: w as u32,
-                                winner: v as u32,
-                            });
-                        } else {
-                            prof.incr(HotCounter::TimeoutsFired);
-                            metrics.record_timeout(&fl.queries, fl.started, now);
-                            let now_s = secs_from_nanos(now);
-                            let rpol = resil.policy.retry;
-                            for mut q in fl.queries {
-                                q.attempt += 1;
-                                let attempt = q.attempt;
-                                tracer.emit(|| Event::Timeout {
-                                    at: now,
-                                    query: q.id,
-                                    worker: w as u32,
-                                    attempt,
-                                });
-                                if attempt > rpol.max_retries {
-                                    prof.incr(HotCounter::RetriesAbandoned);
-                                    tracer.emit(|| Event::Shed {
-                                        at: now,
-                                        query: q.id,
-                                        cause: ShedCause::RetryExhausted,
-                                    });
-                                    let dk = dec.next();
-                                    if dec.on {
-                                        prof.enter(Phase::Decision);
-                                        let regime = scheme.regime().map(str::to_owned);
-                                        dec.emit(|event| DecisionRecord {
-                                            k: dk,
-                                            at: now,
-                                            event,
-                                            query: Some(q.id),
-                                            worker: w as u32,
-                                            state: None,
-                                            regime,
-                                            candidates: Vec::new(),
-                                            chosen: ChosenAction::Shed { count: 1 },
-                                            effective: None,
-                                            reason: ReasonCode::Shed,
-                                        });
-                                        prof.exit(Phase::Decision);
-                                    }
-                                    metrics.record_retry_dropped(&[q], 0);
-                                } else if resil.budget.try_take(now_s) {
-                                    prof.incr(HotCounter::RetriesScheduled);
-                                    metrics.record_retry();
-                                    let delay_ns =
-                                        nanos_from_secs(backoff_delay_s(&rpol, attempt, q.id));
-                                    tracer.emit(|| Event::Retry {
-                                        at: now,
-                                        query: q.id,
-                                        attempt,
-                                        delay_ns,
-                                    });
-                                    let dk = dec.next();
-                                    if dec.on {
-                                        prof.enter(Phase::Decision);
-                                        let regime = scheme.regime().map(str::to_owned);
-                                        dec.emit(|event| DecisionRecord {
-                                            k: dk,
-                                            at: now,
-                                            event,
-                                            query: Some(q.id),
-                                            worker: w as u32,
-                                            state: None,
-                                            regime,
-                                            candidates: Vec::new(),
-                                            chosen: ChosenAction::Retry { attempt, delay_ns },
-                                            effective: None,
-                                            reason: ReasonCode::Retry,
-                                        });
-                                        prof.exit(Phase::Decision);
-                                    }
-                                    let idx = resil.retry_buf.len() as u32;
-                                    resil.retry_buf.push(q);
-                                    heap.push(Reverse((
-                                        now + delay_ns,
-                                        seq,
-                                        EventKind::Retry(idx),
-                                    )));
-                                    seq += 1;
-                                    prof.incr(HotCounter::HeapPushes);
-                                } else {
-                                    prof.incr(HotCounter::RetriesAbandoned);
-                                    tracer.emit(|| Event::Shed {
-                                        at: now,
-                                        query: q.id,
-                                        cause: ShedCause::RetryExhausted,
-                                    });
-                                    let dk = dec.next();
-                                    if dec.on {
-                                        prof.enter(Phase::Decision);
-                                        let regime = scheme.regime().map(str::to_owned);
-                                        dec.emit(|event| DecisionRecord {
-                                            k: dk,
-                                            at: now,
-                                            event,
-                                            query: Some(q.id),
-                                            worker: w as u32,
-                                            state: None,
-                                            regime,
-                                            candidates: Vec::new(),
-                                            chosen: ChosenAction::Shed { count: 1 },
-                                            effective: None,
-                                            reason: ReasonCode::Shed,
-                                        });
-                                        prof.exit(Phase::Decision);
-                                    }
-                                    metrics.record_retry_dropped(&[q], 1);
-                                }
-                            }
-                        }
-                        // The freed worker picks up queued work — or
-                        // finishes its drain if it was on the way out.
-                        if cluster.lifecycle[w] == WorkerState::Draining {
-                            cluster.lifecycle[w] = WorkerState::Down;
-                            if let Some(rt) = scale.as_mut() {
-                                rt.stats.drains_completed += 1;
-                            }
-                            tracer.emit(|| Event::DrainComplete {
-                                at: now,
-                                worker: w as u32,
-                            });
-                        } else if health.as_ref().is_none_or(|h| !h.monitor.suspected(w)) {
-                            let queue = match routing {
-                                Routing::Central => &mut central_queue,
-                                _ => &mut worker_queues[w],
-                            };
-                            self.dispatch(
-                                w,
-                                now,
-                                scheme,
-                                estimator,
-                                queue,
-                                &mut cluster,
-                                &mut resil,
-                                &mut sampler,
-                                &mut metrics,
-                                &mut heap,
-                                &mut seq,
-                                &mut tracer,
-                                prof,
-                                &mut brown,
-                                &mut dec,
-                                health.as_ref().map(|h| h.perceived_live),
-                            );
-                        }
-                    }
-                    EventKind::HedgeDue(w, epoch) => {
-                        if epoch != cluster.epochs[w] {
-                            prof.incr(HotCounter::StaleEvents);
-                            break 'event; // dispatch already ended
-                        }
-                        let (model, queries) = match cluster.in_flight[w].as_ref() {
-                            Some(fl) if fl.twin.is_none() && !fl.is_hedge => {
-                                (fl.model, fl.queries.clone())
-                            }
-                            _ => break 'event,
-                        };
-                        // An idle live worker that can run this model; the
-                        // hedge is silently skipped when none exists (better
-                        // to keep waiting than to queue a duplicate).
-                        let target = (0..n_workers).find(|&v| {
-                            v != w
-                                && cluster.alive[v]
-                                && !cluster.busy[v]
-                                && health.as_ref().is_none_or(|h| !h.monitor.suspected(v))
-                                && model < self.profile_of(v).n_models()
-                        });
-                        let Some(v) = target else { break 'event };
-                        let batch = queries.len() as u32;
-                        let first_query = queries.first().map(|q| q.id);
-                        let service =
-                            sampler.sample(self.profile_of(v), model, batch) * cluster.slow[v];
-                        let service_ns = nanos_from_secs(service);
-                        resil.service_hist.record(service_ns);
-                        cluster.busy[v] = true;
-                        cluster.in_flight[v] = Some(InFlight {
-                            model,
-                            queries,
-                            started: now,
-                            twin: Some(w),
-                            is_hedge: true,
-                        });
-                        if let Some(fl) = cluster.in_flight[w].as_mut() {
-                            fl.twin = Some(v);
-                        }
-                        // The hedge side gets a plain completion: no nested
-                        // timeout or hedge-of-a-hedge.
-                        heap.push(Reverse((
-                            now + service_ns,
-                            seq,
-                            EventKind::WorkerDone(v, cluster.epochs[v]),
-                        )));
-                        seq += 1;
-                        prof.incr(HotCounter::HeapPushes);
-                        prof.incr(HotCounter::HedgesIssued);
-                        metrics.record_hedge_issued();
-                        tracer.emit(|| Event::HedgeIssued {
-                            at: now,
-                            primary: w as u32,
-                            hedge: v as u32,
-                            model: model as u32,
-                            batch,
-                        });
-                        let dk = dec.next();
-                        if dec.on {
-                            prof.enter(Phase::Decision);
-                            let regime = scheme.regime().map(str::to_owned);
-                            dec.emit(|event| DecisionRecord {
-                                k: dk,
-                                at: now,
-                                event,
-                                query: first_query,
-                                worker: w as u32,
-                                state: None,
-                                regime,
-                                candidates: Vec::new(),
-                                chosen: ChosenAction::Hedge {
-                                    model: model as u32,
-                                    batch,
-                                    target: v as u32,
-                                },
-                                effective: None,
-                                reason: ReasonCode::Hedge,
-                            });
-                            prof.exit(Phase::Decision);
-                        }
-                    }
-                    EventKind::Retry(idx) => {
-                        let q = resil.retry_buf[idx as usize];
-                        prof.enter(Phase::Route);
-                        self.route_query(
-                            q,
-                            now,
-                            routing,
-                            plan.crash_policy,
-                            scheme,
-                            estimator,
-                            &mut worker_queues,
-                            &mut central_queue,
-                            &mut limbo,
-                            &mut rr_next,
-                            &mut cluster,
-                            &mut resil,
-                            &mut sampler,
-                            &mut metrics,
-                            &mut heap,
-                            &mut seq,
-                            &mut tracer,
-                            prof,
-                            &mut brown,
-                            &mut dec,
-                            perceived!(health),
-                        );
-                        prof.exit(Phase::Route);
-                    }
-                    EventKind::Fault(idx) => {
-                        match actions[idx as usize].1 {
-                            FaultAction::Crash(w) => {
-                                if !cluster.alive[w] {
-                                    break 'event; // double crash: no-op
-                                }
-                                cluster.alive[w] = false;
-                                cluster.epochs[w] += 1;
-                                cluster.down_since[w] = Some(now);
-                                cluster.live -= 1;
-                                cluster.lifecycle[w] = WorkerState::Down;
-                                if let Some(rt) = scale.as_mut() {
-                                    rt.account_live(now, cluster.live);
-                                }
-                                let mut displaced: Vec<Query> = Vec::new();
-                                if let Some(fl) = cluster.in_flight[w].take() {
-                                    cluster.busy[w] = false;
-                                    if let Some(v) = fl.twin {
-                                        // The crashed side of a hedged pair
-                                        // is a cancellation, not a loss: the
-                                        // twin keeps the queries.
-                                        if let Some(tw) = cluster.in_flight[v].as_mut() {
-                                            tw.twin = None;
-                                        }
-                                        prof.incr(HotCounter::HedgesCancelled);
-                                        metrics.record_hedge_cancelled(fl.started, now);
-                                        tracer.emit(|| Event::HedgeCancelled {
-                                            at: now,
-                                            worker: w as u32,
-                                            winner: v as u32,
-                                        });
-                                    } else {
-                                        displaced.extend(fl.queries);
-                                    }
-                                }
-                                if health.is_some() {
-                                    // Perceived health: the router
-                                    // learns nothing here — the worker
-                                    // stays in view until the detector
-                                    // suspects it, and its work waits
-                                    // where it is (that wait IS the
-                                    // detection lag). Under `Drop` the
-                                    // machine's on-board work is
-                                    // physically lost, exactly as with
-                                    // oracle membership.
-                                    match plan.crash_policy {
-                                        CrashPolicy::Drop => {
-                                            displaced.extend(worker_queues[w].drain(..));
-                                            if tracer.on {
-                                                for q in &displaced {
-                                                    tracer.emit(|| Event::Drop {
-                                                        at: now,
-                                                        query: q.id,
-                                                    });
-                                                }
-                                            }
-                                            metrics.record_crash_dropped(&displaced);
-                                        }
-                                        CrashPolicy::RequeueToSurvivors => {
-                                            // The interrupted batch is
-                                            // retriable: it waits at
-                                            // the dead worker's queue
-                                            // head (a stuck buffer
-                                            // under central routing)
-                                            // until suspicion or
-                                            // recovery releases it.
-                                            for mut q in displaced.into_iter().rev() {
-                                                q.enqueued_at = now;
-                                                worker_queues[w].push_front(q);
-                                            }
-                                        }
-                                    }
-                                    break 'event;
-                                }
-                                displaced.extend(worker_queues[w].drain(..));
-                                scheme.on_membership_change(cluster.live);
-                                match plan.crash_policy {
-                                    CrashPolicy::Drop => {
-                                        if tracer.on {
-                                            for q in &displaced {
-                                                tracer.emit(|| Event::Drop {
-                                                    at: now,
-                                                    query: q.id,
-                                                });
-                                            }
-                                        }
-                                        metrics.record_crash_dropped(&displaced);
-                                    }
-                                    CrashPolicy::RequeueToSurvivors => {
-                                        if tracer.on {
-                                            for q in &displaced {
-                                                tracer.emit(|| Event::CrashRequeue {
-                                                    at: now,
-                                                    query: q.id,
-                                                    from: w as u32,
-                                                });
-                                            }
-                                        }
-                                        metrics.record_crash_requeued(displaced.len() as u64);
-                                        match routing {
-                                            Routing::Central => {
-                                                // Back to the head of the
-                                                // central queue: they carry
-                                                // the earliest deadlines.
-                                                for mut q in displaced.into_iter().rev() {
-                                                    q.enqueued_at = now;
-                                                    central_queue.push_front(q);
-                                                }
-                                            }
-                                            _ if cluster.live == 0 => limbo.extend(displaced),
-                                            _ => {
-                                                for mut q in displaced {
-                                                    q.enqueued_at = now;
-                                                    let t = Self::next_live_rr(
-                                                        &cluster.alive,
-                                                        &mut rr_next,
-                                                    )
-                                                    .expect("live > 0 checked");
-                                                    worker_queues[t].push_back(q);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                self.kick_idle_workers(
-                                    now,
-                                    routing,
-                                    scheme,
-                                    estimator,
-                                    &mut worker_queues,
-                                    &mut central_queue,
-                                    &mut cluster,
-                                    &mut resil,
-                                    &mut sampler,
-                                    &mut metrics,
-                                    &mut heap,
-                                    &mut seq,
-                                    &mut tracer,
-                                    prof,
-                                    &mut brown,
-                                    &mut dec,
-                                    None,
-                                );
-                            }
-                            FaultAction::Recover(w) => {
-                                // Recovery only undoes a crash: it must
-                                // not revive a warming, draining, or
-                                // scaled-down slot (those have no crash
-                                // timestamp).
-                                if cluster.alive[w]
-                                    || (scale.is_some() && cluster.down_since[w].is_none())
-                                {
-                                    break 'event; // recovery without crash: no-op
-                                }
-                                cluster.alive[w] = true;
-                                cluster.live += 1;
-                                cluster.lifecycle[w] = WorkerState::Live;
-                                if let Some(rt) = scale.as_mut() {
-                                    rt.account_live(now, cluster.live);
-                                }
-                                if let Some(start) = cluster.down_since[w].take() {
-                                    metrics.record_downtime_s(secs_from_nanos(
-                                        now.saturating_sub(start),
-                                    ));
-                                }
-                                if let Some(hs) = health.as_mut() {
-                                    // A recover before suspicion is as
-                                    // invisible as the crash was: no
-                                    // membership change, crash-stuck
-                                    // central work flows back, and the
-                                    // worker serves again. A suspected
-                                    // worker stays ejected until its
-                                    // probes close the breaker.
-                                    hs.rebuild_view(&cluster);
-                                    if !hs.monitor.suspected(w) {
-                                        if routing == Routing::Central
-                                            && !worker_queues[w].is_empty()
-                                        {
-                                            for mut q in worker_queues[w].drain(..).rev() {
-                                                q.enqueued_at = now;
-                                                central_queue.push_front(q);
-                                            }
-                                        }
-                                        if !limbo.is_empty() && routing != Routing::Central {
-                                            for mut q in limbo.drain(..) {
-                                                q.enqueued_at = now;
-                                                worker_queues[w].push_back(q);
-                                            }
-                                        }
-                                        self.kick_idle_workers(
-                                            now,
-                                            routing,
-                                            scheme,
-                                            estimator,
-                                            &mut worker_queues,
-                                            &mut central_queue,
-                                            &mut cluster,
-                                            &mut resil,
-                                            &mut sampler,
-                                            &mut metrics,
-                                            &mut heap,
-                                            &mut seq,
-                                            &mut tracer,
-                                            prof,
-                                            &mut brown,
-                                            &mut dec,
-                                            perceived!(health),
-                                        );
-                                    }
-                                    break 'event;
-                                }
-                                scheme.on_membership_change(cluster.live);
-                                // Stranded queries join the recovered
-                                // worker's queue in arrival order.
-                                if !limbo.is_empty() && routing != Routing::Central {
-                                    for mut q in limbo.drain(..) {
-                                        q.enqueued_at = now;
-                                        worker_queues[w].push_back(q);
-                                    }
-                                }
-                                self.kick_idle_workers(
-                                    now,
-                                    routing,
-                                    scheme,
-                                    estimator,
-                                    &mut worker_queues,
-                                    &mut central_queue,
-                                    &mut cluster,
-                                    &mut resil,
-                                    &mut sampler,
-                                    &mut metrics,
-                                    &mut heap,
-                                    &mut seq,
-                                    &mut tracer,
-                                    prof,
-                                    &mut brown,
-                                    &mut dec,
-                                    None,
-                                );
-                            }
-                            FaultAction::SlowStart(w, factor) => cluster.slow[w] = factor,
-                            FaultAction::SlowEnd(w) => cluster.slow[w] = 1.0,
-                        }
-                    }
-                    EventKind::ScaleTick => {
-                        let Some(rt) = scale.as_mut() else {
-                            break 'event;
-                        };
-                        rt.stats.ticks += 1;
-                        // Ticks reschedule themselves while arrivals
-                        // remain, then stop so the run terminates.
-                        let next = now + rt.tick_ns;
-                        if next <= rt.tick_end {
-                            heap.push(Reverse((next, seq, EventKind::ScaleTick)));
-                            seq += 1;
-                            prof.incr(HotCounter::HeapPushes);
-                        }
-                        let now_s = secs_from_nanos(now);
-                        let load = estimator.estimate(now_s);
-                        let sig = ScaleSignal {
-                            now_s,
-                            load_qps: load,
-                            trend_qps_per_s: estimator.trend_qps_per_s(now_s).unwrap_or(0.0),
-                            // With the detector on, the autoscaler sees
-                            // the perceived pool: suspected workers are
-                            // missing capacity, undetected crashes
-                            // still look live.
-                            live: health.as_ref().map_or(cluster.live, |h| h.perceived_live),
-                            warming: cluster.warming(),
-                            draining: cluster.draining(),
-                            queued: central_queue.len()
-                                + worker_queues.iter().map(VecDeque::len).sum::<usize>(),
-                        };
-                        let desired = rt.controller.desired_workers(&sig);
-                        let current = sig.live + sig.warming;
-                        let mut handed_off_work = false;
-                        if desired > current {
-                            let warmup_ns = nanos_from_secs(rt.controller.policy().warmup_s);
-                            let mut need = desired - current;
-                            for w in 0..n_workers {
-                                if need == 0 {
-                                    break;
-                                }
-                                // Crash-downed slots belong to the fault
-                                // plan (they come back via Recover), so
-                                // scale-up skips them.
-                                if cluster.lifecycle[w] != WorkerState::Down
-                                    || cluster.down_since[w].is_some()
-                                {
-                                    continue;
-                                }
-                                cluster.lifecycle[w] = WorkerState::Warming;
-                                rt.stats.scale_ups += 1;
-                                let live = cluster.live;
-                                tracer.emit(|| Event::ScaleUp {
-                                    at: now,
-                                    worker: w as u32,
-                                    live: live as u32,
-                                });
-                                heap.push(Reverse((
-                                    now + warmup_ns,
-                                    seq,
-                                    EventKind::WarmupDone(w, cluster.epochs[w]),
-                                )));
-                                seq += 1;
-                                prof.incr(HotCounter::HeapPushes);
-                                need -= 1;
-                            }
-                        } else if desired < current {
-                            let mut need = current - desired;
-                            // Cancelling a warm-up frees capacity that
-                            // never went Live; do those first.
-                            for w in (0..n_workers).rev() {
-                                if need == 0 {
-                                    break;
-                                }
-                                if cluster.lifecycle[w] != WorkerState::Warming {
-                                    continue;
-                                }
-                                cluster.lifecycle[w] = WorkerState::Down;
-                                cluster.epochs[w] += 1; // strands the WarmupDone
-                                rt.stats.scale_downs += 1;
-                                let live = cluster.live;
-                                tracer.emit(|| Event::ScaleDown {
-                                    at: now,
-                                    worker: w as u32,
-                                    live: live as u32,
-                                    handoffs: 0,
-                                });
-                                need -= 1;
-                            }
-                            // Then drain Live workers: queued work hands
-                            // off to survivors now, the in-flight batch
-                            // runs to completion.
-                            for w in (0..n_workers).rev() {
-                                if need == 0 {
-                                    break;
-                                }
-                                if cluster.lifecycle[w] != WorkerState::Live {
-                                    continue;
-                                }
-                                cluster.lifecycle[w] = WorkerState::Draining;
-                                cluster.alive[w] = false;
-                                cluster.live -= 1;
-                                // A commanded drain is visible to the
-                                // router immediately — no detection
-                                // needed for planned exits.
-                                if let Some(hs) = health.as_mut() {
-                                    if hs.view[w] {
-                                        hs.view[w] = false;
-                                        hs.perceived_live -= 1;
-                                    }
-                                }
-                                rt.account_live(now, cluster.live);
-                                rt.stats.scale_downs += 1;
-                                let handed: Vec<Query> = worker_queues[w].drain(..).collect();
-                                rt.stats.drain_handoffs += handed.len() as u64;
-                                let live = cluster.live;
-                                let handoffs = handed.len() as u32;
-                                tracer.emit(|| Event::ScaleDown {
-                                    at: now,
-                                    worker: w as u32,
-                                    live: live as u32,
-                                    handoffs,
-                                });
-                                if !handed.is_empty() {
-                                    match health.as_ref() {
-                                        Some(hs) if hs.perceived_live == 0 => {
-                                            limbo.extend(handed);
-                                        }
-                                        Some(hs) => {
-                                            let view = hs.view.clone();
-                                            for mut q in handed {
-                                                q.enqueued_at = now;
-                                                let t = Self::next_live_rr(&view, &mut rr_next)
-                                                    .expect("perceived_live > 0 checked");
-                                                worker_queues[t].push_back(q);
-                                            }
-                                        }
-                                        None if cluster.live == 0 => {
-                                            // Only warming capacity remains;
-                                            // stranded queries drain to the
-                                            // first worker that goes Live.
-                                            limbo.extend(handed);
-                                        }
-                                        None => {
-                                            for mut q in handed {
-                                                q.enqueued_at = now;
-                                                let t = Self::next_live_rr(
-                                                    &cluster.alive,
-                                                    &mut rr_next,
-                                                )
-                                                .expect("live > 0 checked");
-                                                worker_queues[t].push_back(q);
-                                            }
-                                        }
-                                    }
-                                    handed_off_work = true;
-                                }
-                                scheme.on_membership_change(
-                                    health.as_ref().map_or(cluster.live, |h| h.perceived_live),
-                                );
-                                if !cluster.busy[w] {
-                                    // Nothing in flight: the drain
-                                    // completes on the spot.
-                                    cluster.lifecycle[w] = WorkerState::Down;
-                                    rt.stats.drains_completed += 1;
-                                    tracer.emit(|| Event::DrainComplete {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                }
-                                need -= 1;
-                            }
-                        }
-                        // Feed the brownout ladder: the load estimate
-                        // against the live pool's capacity target.
-                        let capacity_qps =
-                            health.as_ref().map_or(cluster.live, |h| h.perceived_live) as f64
-                                * rt.controller.policy().target_qps_per_worker;
-                        if let Some(transition) = rt.ladder.observe(load, capacity_qps) {
-                            match transition {
-                                BrownoutTransition::Enter { rung } => {
-                                    rt.stats.brownout_enters += 1;
-                                    rt.stats.max_brownout_rung =
-                                        rt.stats.max_brownout_rung.max(rung);
-                                    if rung == 1 {
-                                        rt.brownout_since = Some(now);
-                                    }
-                                    tracer.emit(|| Event::BrownoutEnter {
-                                        at: now,
-                                        rung,
-                                        load_qps: load,
-                                        capacity_qps,
-                                    });
-                                }
-                                BrownoutTransition::Exit { rung } => {
-                                    rt.stats.brownout_exits += 1;
-                                    if rung == 1 {
-                                        if let Some(start) = rt.brownout_since.take() {
-                                            rt.stats.brownout_time_s +=
-                                                secs_from_nanos(now.saturating_sub(start));
-                                        }
-                                    }
-                                    tracer.emit(|| Event::BrownoutExit {
-                                        at: now,
-                                        rung,
-                                        load_qps: load,
-                                        capacity_qps,
-                                    });
-                                }
-                            }
-                        }
-                        let rung = rt.ladder.rung();
-                        if let Some(b) = brown.as_mut() {
-                            b.rung = rung;
-                        }
-                        if handed_off_work {
-                            self.kick_idle_workers(
-                                now,
-                                routing,
-                                scheme,
-                                estimator,
-                                &mut worker_queues,
-                                &mut central_queue,
-                                &mut cluster,
-                                &mut resil,
-                                &mut sampler,
-                                &mut metrics,
-                                &mut heap,
-                                &mut seq,
-                                &mut tracer,
-                                prof,
-                                &mut brown,
-                                &mut dec,
-                                perceived!(health),
-                            );
-                        }
-                    }
-                    EventKind::WarmupDone(w, epoch) => {
-                        if epoch != cluster.epochs[w]
-                            || cluster.lifecycle[w] != WorkerState::Warming
-                        {
-                            // Cancelled by a scale-in or a crash.
-                            prof.incr(HotCounter::StaleEvents);
-                            break 'event;
-                        }
-                        cluster.lifecycle[w] = WorkerState::Live;
-                        cluster.alive[w] = true;
-                        cluster.live += 1;
-                        if let Some(rt) = scale.as_mut() {
-                            rt.stats.warmups_completed += 1;
-                            rt.account_live(now, cluster.live);
-                        }
-                        let live = cluster.live;
-                        tracer.emit(|| Event::WorkerWarm {
-                            at: now,
-                            worker: w as u32,
-                            live: live as u32,
-                        });
-                        if let Some(hs) = health.as_mut() {
-                            hs.rebuild_view(&cluster);
-                        }
-                        scheme.on_membership_change(
-                            health.as_ref().map_or(cluster.live, |h| h.perceived_live),
-                        );
-                        // Stranded queries (a scale-in or crash during a
-                        // full outage) drain to the first worker to go
-                        // Live, mirroring crash recovery.
-                        if !limbo.is_empty()
-                            && routing != Routing::Central
-                            && health.as_ref().is_none_or(|h| h.view[w])
-                        {
-                            for mut q in limbo.drain(..) {
-                                q.enqueued_at = now;
-                                worker_queues[w].push_back(q);
-                            }
-                        }
-                        self.kick_idle_workers(
-                            now,
-                            routing,
-                            scheme,
-                            estimator,
-                            &mut worker_queues,
-                            &mut central_queue,
-                            &mut cluster,
-                            &mut resil,
-                            &mut sampler,
-                            &mut metrics,
-                            &mut heap,
-                            &mut seq,
-                            &mut tracer,
-                            prof,
-                            &mut brown,
-                            &mut dec,
-                            perceived!(health),
-                        );
-                    }
-                    EventKind::HealthTick => {
-                        let Some(hs) = health.as_mut() else {
-                            break 'event;
-                        };
-                        let next = now + hs.tick_ns;
-                        if next <= hs.tick_end {
-                            heap.push(Reverse((next, seq, EventKind::HealthTick)));
-                            seq += 1;
-                            prof.incr(HotCounter::HeapPushes);
-                        }
-                        let now_s = secs_from_nanos(now);
-                        let mut moved = false;
-                        for w in 0..n_workers {
-                            // Probe the perceived fleet plus anyone the
-                            // monitor still tracks: live workers,
-                            // crashed-but-undetected workers (the whole
-                            // point), and suspected workers awaiting a
-                            // half-open trial. Commanded-down slots are
-                            // not probed — the control plane knows.
-                            let probed = cluster.alive[w]
-                                || cluster.down_since[w].is_some()
-                                || hs.monitor.suspected(w);
-                            if !probed {
-                                continue;
-                            }
-                            // A probe is answered iff the worker is
-                            // physically up and its heartbeat path is
-                            // not partitioned. Gray failures live here:
-                            // a partitioned-but-serving worker looks
-                            // dead to probes while completing batches.
-                            let responsive = cluster.alive[w] && !plan.partitioned(w, now_s);
-                            tracer.emit(|| Event::ProbeSent {
-                                at: now,
-                                worker: w as u32,
-                            });
-                            let outcome =
-                                hs.monitor.probe(w, now, responsive, cluster.down_since[w]);
-                            if outcome.half_opened {
-                                tracer.emit(|| Event::BreakerHalfOpen {
-                                    at: now,
-                                    worker: w as u32,
-                                });
-                            }
-                            match outcome.step {
-                                ProbeStep::Ok | ProbeStep::TrialProgress => {}
-                                ProbeStep::Failed => {
-                                    tracer.emit(|| Event::ProbeFailed {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                }
-                                ProbeStep::ReOpened => {
-                                    tracer.emit(|| Event::ProbeFailed {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                    tracer.emit(|| Event::BreakerOpen {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                }
-                                ProbeStep::Suspected(info) => {
-                                    tracer.emit(|| Event::ProbeFailed {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                    tracer.emit(|| Event::Suspect {
-                                        at: now,
-                                        worker: w as u32,
-                                        genuine: info.genuine,
-                                        lag_ns: info.lag_ns,
-                                    });
-                                    tracer.emit(|| Event::BreakerOpen {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                    Self::apply_suspicion(
-                                        w,
-                                        now,
-                                        routing,
-                                        scheme,
-                                        hs,
-                                        &mut worker_queues,
-                                        &mut central_queue,
-                                        &mut limbo,
-                                        &mut rr_next,
-                                        &mut metrics,
-                                        &mut tracer,
-                                    );
-                                    moved = true;
-                                }
-                                ProbeStep::Reinstated { suspected_ns } => {
-                                    tracer.emit(|| Event::BreakerClose {
-                                        at: now,
-                                        worker: w as u32,
-                                    });
-                                    tracer.emit(|| Event::Reinstate {
-                                        at: now,
-                                        worker: w as u32,
-                                        suspected_ns,
-                                    });
-                                    Self::apply_reinstate(
-                                        w,
-                                        now,
-                                        routing,
-                                        scheme,
-                                        hs,
-                                        &mut worker_queues,
-                                        &mut limbo,
-                                        &cluster,
-                                    );
-                                    moved = true;
-                                }
-                            }
-                        }
-                        if moved {
-                            self.kick_idle_workers(
-                                now,
-                                routing,
-                                scheme,
-                                estimator,
-                                &mut worker_queues,
-                                &mut central_queue,
-                                &mut cluster,
-                                &mut resil,
-                                &mut sampler,
-                                &mut metrics,
-                                &mut heap,
-                                &mut seq,
-                                &mut tracer,
-                                prof,
-                                &mut brown,
-                                &mut dec,
-                                perceived!(health),
-                            );
-                        }
-                    }
-                }
+        self.events.seq = snap.next_seq;
+        self.horizon = snap.horizon;
+        self.events_done = snap.meta.events_done;
+        self.tracer.emitted = snap.meta.events_emitted;
+        // The smallest cadence multiple past the snapshot's event
+        // count / time: exactly where the uninterrupted run's cadence
+        // stands. `checked_div` is `None` only for a zero divisor,
+        // i.e. that cadence dimension is off.
+        let every_events = self.sim.config.checkpoint.every_events;
+        if let Some(periods) = self.events_done.checked_div(every_events) {
+            self.next_ckpt_events = (periods + 1) * every_events;
+        }
+        if let Some(periods) = snap.meta.sim_time_ns.checked_div(self.ckpt_period_ns) {
+            self.next_ckpt_ns = (periods + 1) * self.ckpt_period_ns;
+        }
+        self.worker_queues = snap.worker_queues.clone();
+        self.central_queue = snap.central_queue.clone();
+        self.limbo = snap.limbo.clone();
+        self.rr_next = snap.rr_next;
+        self.cluster = Cluster::restore(&snap.cluster);
+        self.resil.budget = snap.resilience.budget.clone();
+        self.resil.admission = snap.resilience.admission.clone();
+        self.resil.service_hist = snap.resilience.service_hist.clone();
+        self.resil.retry_buf = snap.resilience.retry_buf.clone();
+        self.sampler
+            .restore_rng(snap.latency_rng.0, snap.latency_rng.1);
+        // Fault windows are re-derived from the plan rather than
+        // trusted to the snapshot: an unrecovered crash's window ends at
+        // +inf, which the JSON tree cannot carry (non-finite floats
+        // serialize as null).
+        self.metrics = snap
+            .metrics
+            .clone()
+            .with_fault_windows(self.plan.fault_windows());
+        match (self.scale.as_mut(), snap.autoscale.as_ref()) {
+            (Some(rt), Some(s)) => {
+                rt.controller = s.controller.clone();
+                rt.ladder = s.ladder.clone();
+                rt.stats = s.stats.clone();
+                rt.last_live_change = s.last_live_change;
+                rt.live_at_change = s.live_at_change;
+                rt.brownout_since = s.brownout_since;
+                let b = self
+                    .brown
+                    .as_mut()
+                    .expect("brownout state exists with autoscale");
+                b.rung = s.brown_rung;
+                b.degraded = s.brown_degraded;
             }
-            prof.exit(phase);
-            events_done += 1;
-            if let Some(rec) = durable.recorder.as_deref_mut() {
-                let due_events = events_done == next_ckpt_events;
-                let due_time = ckpt_period_ns > 0 && now >= next_ckpt_ns;
-                if due_events || due_time {
-                    if due_events {
-                        next_ckpt_events += ckpt.every_events;
-                    }
-                    while ckpt_period_ns > 0 && next_ckpt_ns <= now {
-                        next_ckpt_ns += ckpt_period_ns;
-                    }
-                    prof.enter(Phase::Checkpoint);
-                    // A checkpoint attests that `events_emitted` trace
-                    // records are durable; with a buffered sink that is
-                    // only true after a flush.
-                    tracer.sink.flush();
-                    let snap = self.build_snapshot(
-                        &*scheme,
-                        &*estimator,
-                        arrivals,
-                        arrivals_hash,
-                        events_done,
-                        now,
-                        tracer.emitted,
-                        &heap,
-                        seq,
-                        horizon,
-                        &worker_queues,
-                        &central_queue,
-                        &limbo,
-                        rr_next,
-                        &cluster,
-                        &resil,
-                        &sampler,
-                        &metrics,
-                        scale.as_ref(),
-                        brown.as_ref(),
-                        health.as_ref(),
-                    );
-                    let keep_going = rec.record(&snap);
-                    prof.exit(Phase::Checkpoint);
-                    if !keep_going {
-                        // Simulated kill (or a failed checkpoint
-                        // write): stop on the spot, mid-heap, exactly
-                        // as a crash would.
-                        return Ok(None);
-                    }
-                }
+            (None, None) => {}
+            (have, _) => return Err(subsystem_mismatch("autoscale", have.is_some())),
+        }
+        match (self.health.as_mut(), snap.health.as_ref()) {
+            (Some(hs), Some(s)) => {
+                hs.monitor.restore(s)?;
+                hs.rebuild_view(&self.cluster);
             }
+            (None, None) => {}
+            (have, _) => return Err(subsystem_mismatch("health", have.is_some())),
         }
-
-        // A counterfactual replay that never reached its branch point
-        // would silently reproduce the factual run; fail loudly instead.
-        if let Some(f) = dec.forced {
-            if !dec.forced_applied {
-                return Err(SimError::InvalidConfig(format!(
-                    "counterfactual: forced decision k={} was never applied \
-                     (run made {} decisions; only selection-site decisions can be forced)",
-                    f.k, dec.k
-                )));
-            }
-        }
-
-        // Workers still dead at the end of the run accrue downtime up
-        // to the horizon.
-        for w in 0..n_workers {
-            if let Some(start) = cluster.down_since[w] {
-                metrics.record_downtime_s(secs_from_nanos(horizon.saturating_sub(start)));
-            }
-        }
-
-        tracer.sink.flush();
-
-        prof.enter(Phase::Report);
-        let regime_breakdown = metrics.regime_breakdown();
-        // Utilization stays relative to the *configured* pool: with
-        // autoscaling the true cost denominator is the live-worker
-        // integral reported in `autoscale.worker_seconds`.
-        let mut report = metrics.report(
-            scheme.name().to_owned(),
-            arrivals.len() as u64,
-            horizon,
-            self.config.workers,
-        );
-        if let Some(mut stats) = scheme.adaptive_stats() {
-            stats.per_regime = regime_breakdown;
-            report.adaptive = Some(stats);
-        }
-        if let Some(mut rt) = scale.take() {
-            if let Some(b) = brown.as_ref() {
-                rt.stats.degraded_selections = b.degraded;
-            }
-            report.autoscale = Some(rt.finalize(horizon));
-        }
-        if let Some(mut hs) = health.take() {
-            report.health = Some(hs.monitor.finalize(horizon));
-        }
-        prof.exit(Phase::Report);
-        prof.run_end();
-        Ok(Some(report))
+        self.scheme
+            .restore_state(&snap.scheme_state)
+            .map_err(SimError::InvalidConfig)?;
+        self.estimator
+            .restore_state(&snap.estimator_state)
+            .map_err(SimError::InvalidConfig)
     }
 
     /// Refuses to resume a snapshot that does not belong to this exact
     /// run: same config identity (pool, SLO, seeds), same scheme, and
     /// the same pre-sampled arrival array.
-    fn validate_snapshot(
-        &self,
-        snap: &EngineSnapshot,
-        scheme_name: &str,
-        arrivals: &[f64],
-        arrivals_hash: u64,
-        n_workers: usize,
-    ) -> Result<(), SimError> {
+    fn check_snapshot(&self, snap: &EngineSnapshot) -> Result<(), SimError> {
+        let config = &self.sim.config;
+        let scheme_name = self.scheme.name();
+        let n_workers = self.n_workers();
         let m = &snap.meta;
         let bad = |msg: String| Err(SimError::InvalidConfig(format!("cannot resume: {msg}")));
         if m.version != SNAPSHOT_VERSION {
@@ -3301,23 +1560,22 @@ impl<'a> Simulation<'a> {
                 m.version
             ));
         }
-        if m.workers != self.config.workers {
+        if m.workers != config.workers {
             return bad(format!(
                 "snapshot has {} workers, config has {}",
-                m.workers, self.config.workers
+                m.workers, config.workers
             ));
         }
-        if m.slo_s != self.config.slo_s {
+        if m.slo_s != config.slo_s {
             return bad(format!(
                 "snapshot SLO {}s != config SLO {}s",
-                m.slo_s, self.config.slo_s
+                m.slo_s, config.slo_s
             ));
         }
-        if m.arrival_seed != self.config.arrival_seed || m.latency_seed != self.config.latency_seed
-        {
+        if m.arrival_seed != config.arrival_seed || m.latency_seed != config.latency_seed {
             return bad(format!(
                 "snapshot seeds ({}, {}) != config seeds ({}, {})",
-                m.arrival_seed, m.latency_seed, self.config.arrival_seed, self.config.latency_seed
+                m.arrival_seed, m.latency_seed, config.arrival_seed, config.latency_seed
             ));
         }
         if m.scheme != scheme_name {
@@ -3326,12 +1584,12 @@ impl<'a> Simulation<'a> {
                 m.scheme
             ));
         }
-        if m.arrivals_len != arrivals.len() || m.arrivals_hash != arrivals_hash {
+        if m.arrivals_len != self.arrivals.len() || m.arrivals_hash != self.arrivals_hash {
             return bad(format!(
                 "arrival stream mismatch ({} arrivals, hash {:#x}; snapshot says {}, {:#x}) — \
                  different trace, seed, or surge plan",
-                arrivals.len(),
-                arrivals_hash,
+                self.arrivals.len(),
+                self.arrivals_hash,
                 m.arrivals_len,
                 m.arrivals_hash
             ));
@@ -3350,34 +1608,14 @@ impl<'a> Simulation<'a> {
 
     /// Captures the complete mid-run state as an [`EngineSnapshot`].
     /// Pure observation: nothing the run later touches is mutated.
-    #[allow(clippy::too_many_arguments)]
-    fn build_snapshot(
-        &self,
-        scheme: &dyn ServingScheme,
-        estimator: &dyn LoadEstimator,
-        arrivals: &[f64],
-        arrivals_hash: u64,
-        events_done: u64,
-        now: Nanos,
-        events_emitted: u64,
-        heap: &EventHeap,
-        next_seq: u64,
-        horizon: Nanos,
-        worker_queues: &[VecDeque<Query>],
-        central_queue: &VecDeque<Query>,
-        limbo: &VecDeque<Query>,
-        rr_next: usize,
-        cluster: &Cluster,
-        resil: &ResilienceRuntime,
-        sampler: &LatencySampler,
-        metrics: &MetricsCollector,
-        scale: Option<&AutoscaleRuntime>,
-        brown: Option<&BrownoutState>,
-        health: Option<&HealthRuntime>,
-    ) -> EngineSnapshot {
+    /// Events pop in time order, so the horizon is the current time.
+    fn snapshot(&self) -> EngineSnapshot {
+        let config = &self.sim.config;
         // Heap iteration order is arbitrary; entries are sorted by
         // `(t, seq)` so equal states serialize to equal bytes.
-        let mut entries: Vec<HeapEntry> = heap
+        let mut entries: Vec<HeapEntry> = self
+            .events
+            .heap
             .iter()
             .map(|Reverse((t, s, k))| {
                 let (tag, a, b) = k.encode();
@@ -3391,8 +1629,11 @@ impl<'a> Simulation<'a> {
             })
             .collect();
         entries.sort_unstable_by_key(|e| (e.t, e.seq));
-        let autoscale = scale.map(|rt| {
-            let b = brown.expect("brownout state exists with autoscale");
+        let autoscale = self.scale.as_ref().map(|rt| {
+            let b = self
+                .brown
+                .as_ref()
+                .expect("brownout state exists with autoscale");
             AutoscaleState {
                 controller: rt.controller.clone(),
                 ladder: rt.ladder.clone(),
@@ -3404,484 +1645,1259 @@ impl<'a> Simulation<'a> {
                 brown_degraded: b.degraded,
             }
         });
+        let resil = &self.resil;
         EngineSnapshot {
             meta: SnapshotMeta {
                 version: SNAPSHOT_VERSION,
-                workers: self.config.workers,
-                slo_s: self.config.slo_s,
-                arrival_seed: self.config.arrival_seed,
-                latency_seed: self.config.latency_seed,
-                scheme: scheme.name().to_owned(),
-                events_done,
-                sim_time_ns: now,
-                events_emitted,
-                arrivals_len: arrivals.len(),
-                arrivals_hash,
+                workers: config.workers,
+                slo_s: config.slo_s,
+                arrival_seed: config.arrival_seed,
+                latency_seed: config.latency_seed,
+                scheme: self.scheme.name().to_owned(),
+                events_done: self.events_done,
+                sim_time_ns: self.horizon,
+                events_emitted: self.tracer.emitted,
+                arrivals_len: self.arrivals.len(),
+                arrivals_hash: self.arrivals_hash,
             },
             heap: entries,
-            next_seq,
-            horizon,
-            worker_queues: worker_queues.to_vec(),
-            central_queue: central_queue.clone(),
-            limbo: limbo.clone(),
-            rr_next,
-            cluster: cluster.snapshot(),
+            next_seq: self.events.seq,
+            horizon: self.horizon,
+            worker_queues: self.worker_queues.clone(),
+            central_queue: self.central_queue.clone(),
+            limbo: self.limbo.clone(),
+            rr_next: self.rr_next,
+            cluster: self.cluster.snapshot(),
             resilience: ResilienceState {
                 budget: resil.budget.clone(),
                 admission: resil.admission.clone(),
                 service_hist: resil.service_hist.clone(),
                 retry_buf: resil.retry_buf.clone(),
             },
-            metrics: metrics.clone(),
-            latency_rng: sampler.rng_state(),
+            metrics: self.metrics.clone(),
+            latency_rng: self.sampler.rng_state(),
             autoscale,
-            health: health.map(|h| h.monitor.snapshot()),
-            scheme_state: scheme
+            health: self.health.as_ref().map(|h| h.monitor.snapshot()),
+            scheme_state: self
+                .scheme
                 .checkpoint_state()
                 .expect("scheme support validated at run start"),
-            estimator_state: estimator
+            estimator_state: self
+                .estimator
                 .checkpoint_state()
                 .expect("estimator support validated at run start"),
         }
     }
 
-    /// The next live worker in round-robin order, advancing the cursor;
-    /// `None` when every worker is dead.
-    fn next_live_rr(alive: &[bool], rr_next: &mut usize) -> Option<usize> {
-        let n = alive.len();
-        for _ in 0..n {
-            let w = *rr_next;
-            *rr_next = (*rr_next + 1) % n;
-            if alive[w] {
-                return Some(w);
+    /// The run loop: pops events in `(time, sequence)` order and hands
+    /// each to the method for its kind, checkpointing at the cadence.
+    fn run(mut self) -> Result<SimulationReport, SimError> {
+        while let Some(Reverse((now, _, kind))) = self.events.heap.pop() {
+            self.prof.incr(HotCounter::HeapPops);
+            self.prof
+                .gauge(GaugeId::HeapDepth, self.events.heap.len() as u64 + 1);
+            self.horizon = self.horizon.max(now);
+            self.dec.event = self.events_done;
+            let phase = kind.phase();
+            self.prof.enter(phase);
+            match kind {
+                EventKind::Arrival(i) => self.on_arrival(now, i),
+                EventKind::WorkerDone(w, epoch) => self.on_worker_done(now, w, epoch),
+                EventKind::Fault(i) => self.on_fault(now, i),
+                EventKind::Timeout(w, epoch) => self.on_timeout(now, w, epoch),
+                EventKind::HedgeDue(w, epoch) => self.on_hedge_due(now, w, epoch),
+                EventKind::Retry(i) => self.on_retry(now, i),
+                EventKind::ScaleTick => self.on_scale_tick(now),
+                EventKind::WarmupDone(w, epoch) => self.on_warmup_done(now, w, epoch),
+                EventKind::HealthTick => self.on_health_tick(now),
+            }
+            self.prof.exit(phase);
+            self.events_done += 1;
+            if self.recorder.is_some() && !self.checkpoint_if_due(now) {
+                // Simulated kill (or a failed checkpoint write): stop on
+                // the spot, mid-heap, exactly as a crash would.
+                return Err(SimError::Interrupted {
+                    events_done: self.events_done,
+                });
             }
         }
-        None
+        self.finish()
     }
 
-    /// Routes one query — a fresh arrival or a backed-off retry — to a
-    /// queue per the scheme's routing discipline, consulting admission
-    /// control before the enqueue and starting service if the chosen
-    /// worker is idle. With no live worker the query is stranded (see
-    /// [`Self::strand`]).
-    #[allow(clippy::too_many_arguments)]
-    fn route_query(
-        &self,
-        mut q: Query,
-        now: Nanos,
-        routing: Routing,
-        crash_policy: CrashPolicy,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        worker_queues: &mut [VecDeque<Query>],
-        central_queue: &mut VecDeque<Query>,
-        limbo: &mut VecDeque<Query>,
-        rr_next: &mut usize,
-        cluster: &mut Cluster,
-        resil: &mut ResilienceRuntime,
-        sampler: &mut LatencySampler,
-        metrics: &mut MetricsCollector,
-        heap: &mut EventHeap,
-        seq: &mut u64,
-        tracer: &mut Tracer<'_>,
-        prof: &mut Profiler,
-        brown: &mut Option<BrownoutState>,
-        dec: &mut DecisionTracer<'_>,
-        per: Option<Perceived<'_>>,
-    ) {
-        q.enqueued_at = now;
-        let n_workers = cluster.alive.len();
-        let apol = resil.policy.admission;
-        // With the detector on, routing selects from the *perceived*
-        // membership: an undetected crash still receives work (it piles
-        // up until suspicion displaces it), a suspected-but-healthy
-        // worker is skipped. Physical service start below still gates on
-        // ground-truth `alive` — the simulator never runs a batch on a
-        // dead machine.
-        let sel: &[bool] = match per {
-            Some(p) => p.view,
-            None => &cluster.alive,
+    /// Hands a snapshot to the recorder when a cadence point is due.
+    /// Returns `false` when the recorder stops the run.
+    fn checkpoint_if_due(&mut self, now: Nanos) -> bool {
+        let due_events = self.events_done == self.next_ckpt_events;
+        let due_time = self.ckpt_period_ns > 0 && now >= self.next_ckpt_ns;
+        if !(due_events || due_time) {
+            return true;
+        }
+        if due_events {
+            self.next_ckpt_events += self.sim.config.checkpoint.every_events;
+        }
+        while self.ckpt_period_ns > 0 && self.next_ckpt_ns <= now {
+            self.next_ckpt_ns += self.ckpt_period_ns;
+        }
+        self.prof.enter(Phase::Checkpoint);
+        // A checkpoint attests that `events_emitted` trace records are
+        // durable; with a buffered sink that is only true after a flush.
+        self.tracer.sink.flush();
+        let snap = self.snapshot();
+        let keep_going = self
+            .recorder
+            .as_deref_mut()
+            .is_some_and(|rec| rec.record(&snap));
+        self.prof.exit(Phase::Checkpoint);
+        keep_going
+    }
+
+    /// Closes the books once the heap is empty and builds the report.
+    fn finish(mut self) -> Result<SimulationReport, SimError> {
+        // A counterfactual replay that never reached its branch point
+        // would silently reproduce the factual run; fail loudly instead.
+        if let Some(f) = self.dec.forced {
+            if !self.dec.forced_applied {
+                return Err(SimError::InvalidConfig(format!(
+                    "counterfactual: forced decision k={} was never applied \
+                     (run made {} decisions; only selection-site decisions can be forced)",
+                    f.k, self.dec.k
+                )));
+            }
+        }
+        let horizon = self.horizon;
+        // Workers still dead at the end of the run accrue downtime up
+        // to the horizon.
+        for start in self.cluster.down_since.iter().flatten() {
+            self.metrics
+                .record_downtime_s(secs_from_nanos(horizon.saturating_sub(*start)));
+        }
+        self.tracer.sink.flush();
+
+        self.prof.enter(Phase::Report);
+        let regime_breakdown = self.metrics.regime_breakdown();
+        // Utilization stays relative to the *configured* pool: with
+        // autoscaling the true cost denominator is the live-worker
+        // integral reported in `autoscale.worker_seconds`.
+        let mut report = self.metrics.report(
+            self.scheme.name().to_owned(),
+            self.arrivals.len() as u64,
+            horizon,
+            self.sim.config.workers,
+        );
+        if let Some(mut stats) = self.scheme.adaptive_stats() {
+            stats.per_regime = regime_breakdown;
+            report.adaptive = Some(stats);
+        }
+        if let Some(mut rt) = self.scale.take() {
+            if let Some(b) = self.brown.as_ref() {
+                rt.stats.degraded_selections = b.degraded;
+            }
+            report.autoscale = Some(rt.finalize(horizon));
+        }
+        if let Some(mut hs) = self.health.take() {
+            report.health = Some(hs.monitor.finalize(horizon));
+        }
+        self.prof.exit(Phase::Report);
+        Ok(report)
+    }
+
+    /// A fresh arrival: record it, schedule the next one, route it.
+    fn on_arrival(&mut self, now: Nanos, i: u64) {
+        let idx = i as usize;
+        let t = nanos_from_secs(self.arrivals[idx]);
+        let q = Query::new(i, t, self.slo);
+        self.tracer.emit(|| Event::Arrival {
+            at: now,
+            query: i,
+            deadline: q.deadline,
+        });
+        self.estimator.record_arrival(secs_from_nanos(t));
+        self.scheme.on_arrival(secs_from_nanos(t));
+        self.tracer.drain_scheme(self.scheme);
+        if let Some(&next) = self.arrivals.get(idx + 1) {
+            self.events
+                .push(self.prof, nanos_from_secs(next), EventKind::Arrival(i + 1));
+        }
+        self.prof.enter(Phase::Route);
+        self.route_query(q, now);
+        self.prof.exit(Phase::Route);
+    }
+
+    /// A backed-off query re-enters routing.
+    fn on_retry(&mut self, now: Nanos, idx: u32) {
+        let q = self.resil.retry_buf[idx as usize];
+        self.prof.enter(Phase::Route);
+        self.route_query(q, now);
+        self.prof.exit(Phase::Route);
+    }
+
+    /// Worker `w`'s dispatch ended in a reply: a gray batch error, or a
+    /// completion (cancelling a hedge twin first-wins).
+    fn on_worker_done(&mut self, now: Nanos, w: usize, epoch: u64) {
+        if epoch != self.cluster.epochs[w] {
+            // The dispatch already ended (crash, timeout, or hedge
+            // cancel) after this completion was scheduled.
+            self.prof.incr(HotCounter::StaleEvents);
+            return;
+        }
+        let fl = self.cluster.in_flight[w]
+            .take()
+            .expect("completion implies in-flight work");
+        self.cluster.epochs[w] += 1;
+        if self.batch_errored(now, w, &fl) {
+            self.on_batch_error(now, w, fl);
+            return;
+        }
+        // First-wins: cancel the losing side of a hedged pair before
+        // accounting the completion.
+        let cancelled_twin = fl.twin.inspect(|&v| {
+            let loser = self.cluster.in_flight[v]
+                .take()
+                .expect("hedge twin implies in-flight work");
+            self.cluster.epochs[v] += 1;
+            self.cluster.busy[v] = false;
+            self.prof.incr(HotCounter::HedgesCancelled);
+            self.metrics.record_hedge_cancelled(loser.started, now);
+            if fl.is_hedge {
+                self.metrics.record_hedge_win();
+            }
+            self.tracer.emit(|| Event::HedgeCancelled {
+                at: now,
+                worker: v as u32,
+                winner: w as u32,
+            });
+        });
+        self.metrics.note_regime(self.scheme.regime());
+        if let Some(d) = self.estimator.divergence(secs_from_nanos(now)) {
+            self.metrics.record_divergence(d);
+        }
+        let profile = self.sim.profile_of(w);
+        self.metrics
+            .record_batch(profile, fl.model, &fl.queries, fl.started, now);
+        if self.tracer.on {
+            for q in &fl.queries {
+                self.tracer.emit(|| Event::Complete {
+                    at: now,
+                    query: q.id,
+                    worker: w as u32,
+                    model: fl.model as u32,
+                    response_ns: now.saturating_sub(q.arrival),
+                    violated: now > q.deadline,
+                });
+            }
+        }
+        self.cluster.busy[w] = false;
+        // Feed the detector: a completion is a liveness ack and an
+        // outlier-ejection sample against the profile's
+        // slow-factor-free expectation (so a gray slowdown reads as an
+        // outlier).
+        if !fl.is_hedge && cancelled_twin.is_none() {
+            let down_since = self.cluster.down_since[w];
+            let info = self.health.as_mut().and_then(|hs| {
+                let expected_ns = nanos_from_secs(
+                    profile.latency_extrapolated(fl.model, fl.queries.len() as u32),
+                );
+                hs.monitor.observe_completion(
+                    w,
+                    now,
+                    now.saturating_sub(fl.started),
+                    expected_ns,
+                    down_since,
+                )
+            });
+            if let Some(info) = info {
+                self.suspect(now, w, info);
+                self.kick_idle_workers(now);
+            }
+        }
+        if self.cluster.lifecycle[w] == WorkerState::Draining {
+            // The drain's last in-flight batch just finished; the
+            // worker leaves the pool.
+            self.finish_drain(now, w);
+        } else if !self.suspected(w) {
+            self.dispatch(now, w);
+        }
+        // The freed loser picks up queued work too — or finishes its
+        // drain if it was on the way out.
+        if let Some(v) = cancelled_twin {
+            if self.cluster.lifecycle[v] == WorkerState::Draining {
+                self.finish_drain(now, v);
+            } else if self.cluster.alive[v]
+                && !self.cluster.busy[v]
+                && !self.suspected(v)
+                && self.has_queued(v)
+            {
+                self.dispatch(now, v);
+            }
+        }
+    }
+
+    /// Gray batch-error injection (plan physics, on with or without the
+    /// detector): whether `fl`'s reply is a retriable failure. Hedged
+    /// pairs are exempt: the twin owns the outcome.
+    fn batch_errored(&self, now: Nanos, w: usize, fl: &InFlight) -> bool {
+        if !self.has_batch_errors || fl.twin.is_some() || fl.is_hedge {
+            return false;
+        }
+        let rate = self.plan.error_rate_at(w, secs_from_nanos(now));
+        let draw =
+            splitmix64(self.err_seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fl.started);
+        rate > 0.0 && ((draw >> 11) as f64 / (1u64 << 53) as f64) < rate
+    }
+
+    /// An errored reply: nothing completes, the batch goes back to a
+    /// queue head, and the attempt's time is lost as extra wait.
+    fn on_batch_error(&mut self, now: Nanos, w: usize, fl: InFlight) {
+        self.cluster.busy[w] = false;
+        if self.tracer.on {
+            for q in &fl.queries {
+                self.tracer.emit(|| Event::CrashRequeue {
+                    at: now,
+                    query: q.id,
+                    from: w as u32,
+                });
+            }
+        }
+        self.metrics.record_crash_requeued(fl.queries.len() as u64);
+        // An error reply is an ack with bad news: the detector hears it
+        // and strikes toward ejection.
+        let down_since = self.cluster.down_since[w];
+        let info = self
+            .health
+            .as_mut()
+            .and_then(|hs| hs.monitor.observe_error(w, now, down_since));
+        if let Some(info) = info {
+            self.suspect(now, w, info);
+        }
+        let draining = self.cluster.lifecycle[w] == WorkerState::Draining;
+        if draining {
+            // The drain's last batch errored; the worker still leaves
+            // the pool, its batch retries elsewhere.
+            self.finish_drain(now, w);
+        }
+        if self.routing == Routing::Central {
+            push_front_all(&mut self.central_queue, fl.queries, now);
+        } else if !draining && !self.suspected(w) {
+            push_front_all(&mut self.worker_queues[w], fl.queries, now);
+        } else {
+            // The errored worker is leaving (or ejected): its batch
+            // retries on the effective survivors.
+            self.spread(fl.queries, now);
+        }
+        self.kick_idle_workers(now);
+    }
+
+    /// Worker `w`'s dispatch ran out of its granted time: a hedge side
+    /// is just cancelled, a primary's queries retry or are shed.
+    fn on_timeout(&mut self, now: Nanos, w: usize, epoch: u64) {
+        if epoch != self.cluster.epochs[w] {
+            self.prof.incr(HotCounter::StaleEvents);
+            return; // dispatch already ended
+        }
+        let fl = self.cluster.in_flight[w]
+            .take()
+            .expect("timeout implies in-flight work");
+        self.cluster.epochs[w] += 1;
+        self.cluster.busy[w] = false;
+        if let Some(v) = fl.twin {
+            // One side of a hedged pair timing out is just a
+            // cancellation; the twin keeps the queries.
+            if let Some(tw) = self.cluster.in_flight[v].as_mut() {
+                tw.twin = None;
+            }
+            self.prof.incr(HotCounter::HedgesCancelled);
+            self.metrics.record_hedge_cancelled(fl.started, now);
+            self.tracer.emit(|| Event::HedgeCancelled {
+                at: now,
+                worker: w as u32,
+                winner: v as u32,
+            });
+        } else {
+            self.prof.incr(HotCounter::TimeoutsFired);
+            self.metrics.record_timeout(&fl.queries, fl.started, now);
+            for q in fl.queries {
+                self.retry_or_shed(now, w, q);
+            }
+        }
+        // The freed worker picks up queued work — or finishes its drain
+        // if it was on the way out.
+        if self.cluster.lifecycle[w] == WorkerState::Draining {
+            self.finish_drain(now, w);
+        } else if !self.suspected(w) {
+            self.dispatch(now, w);
+        }
+    }
+
+    /// A timed-out query's next attempt: backed off and re-routed while
+    /// the retry policy and budget allow, shed otherwise.
+    fn retry_or_shed(&mut self, now: Nanos, w: usize, mut q: Query) {
+        let rpol = self.resil.policy.retry;
+        q.attempt += 1;
+        let attempt = q.attempt;
+        self.tracer.emit(|| Event::Timeout {
+            at: now,
+            query: q.id,
+            worker: w as u32,
+            attempt,
+        });
+        let exhausted = attempt > rpol.max_retries;
+        if !exhausted && self.resil.budget.try_take(secs_from_nanos(now)) {
+            self.prof.incr(HotCounter::RetriesScheduled);
+            self.metrics.record_retry();
+            let delay_ns = nanos_from_secs(backoff_delay_s(&rpol, attempt, q.id));
+            self.tracer.emit(|| Event::Retry {
+                at: now,
+                query: q.id,
+                attempt,
+                delay_ns,
+            });
+            let chosen = ChosenAction::Retry { attempt, delay_ns };
+            self.decide(now, Some(q.id), w, chosen, ReasonCode::Retry);
+            let idx = self.resil.retry_buf.len() as u32;
+            self.resil.retry_buf.push(q);
+            self.events
+                .push(self.prof, now + delay_ns, EventKind::Retry(idx));
+            return;
+        }
+        self.prof.incr(HotCounter::RetriesAbandoned);
+        self.tracer.emit(|| Event::Shed {
+            at: now,
+            query: q.id,
+            cause: ShedCause::RetryExhausted,
+        });
+        let chosen = ChosenAction::Shed { count: 1 };
+        self.decide(now, Some(q.id), w, chosen, ReasonCode::Shed);
+        // A shed with retries left was denied by the budget.
+        self.metrics
+            .record_retry_dropped(&[q], u64::from(!exhausted));
+    }
+
+    /// Worker `w`'s dispatch passed the hedge quantile: duplicate it to
+    /// an idle worker that can run the model, if one exists (better to
+    /// keep waiting than to queue a duplicate).
+    fn on_hedge_due(&mut self, now: Nanos, w: usize, epoch: u64) {
+        if epoch != self.cluster.epochs[w] {
+            self.prof.incr(HotCounter::StaleEvents);
+            return; // dispatch already ended
+        }
+        let (model, queries) = match self.cluster.in_flight[w].as_ref() {
+            Some(fl) if fl.twin.is_none() && !fl.is_hedge => (fl.model, fl.queries.clone()),
+            _ => return,
         };
-        match routing {
-            Routing::PerWorkerRoundRobin => match Self::next_live_rr(sel, rr_next) {
-                Some(w) => {
-                    if !try_admit(
-                        &q,
-                        now,
-                        QueueId::Worker(w as u32),
-                        &worker_queues[w],
-                        &mut resil.admission[w],
-                        &apol,
-                        metrics,
-                        tracer,
-                    ) {
-                        return;
-                    }
-                    worker_queues[w].push_back(q);
-                    tracer.emit(|| Event::Enqueue {
-                        at: now,
-                        query: q.id,
-                        queue: QueueId::Worker(w as u32),
-                        depth: worker_queues[w].len() as u32,
-                    });
-                    if cluster.alive[w] && !cluster.busy[w] {
-                        self.dispatch(
-                            w,
-                            now,
-                            scheme,
-                            estimator,
-                            &mut worker_queues[w],
-                            cluster,
-                            resil,
-                            sampler,
-                            metrics,
-                            heap,
-                            seq,
-                            tracer,
-                            prof,
-                            brown,
-                            dec,
-                            per.map(|p| p.live),
-                        );
-                    }
+        let target = (0..self.n_workers()).find(|&v| {
+            v != w
+                && self.cluster.alive[v]
+                && !self.cluster.busy[v]
+                && !self.suspected(v)
+                && model < self.sim.profile_of(v).n_models()
+        });
+        let Some(v) = target else { return };
+        let batch = queries.len() as u32;
+        let first_query = queries.first().map(|q| q.id);
+        let service =
+            self.sampler.sample(self.sim.profile_of(v), model, batch) * self.cluster.slow[v];
+        let service_ns = nanos_from_secs(service);
+        self.resil.service_hist.record(service_ns);
+        self.cluster.busy[v] = true;
+        self.cluster.in_flight[v] = Some(InFlight {
+            model,
+            queries,
+            started: now,
+            twin: Some(w),
+            is_hedge: true,
+        });
+        if let Some(fl) = self.cluster.in_flight[w].as_mut() {
+            fl.twin = Some(v);
+        }
+        // The hedge side gets a plain completion: no nested timeout or
+        // hedge-of-a-hedge.
+        let done = EventKind::WorkerDone(v, self.cluster.epochs[v]);
+        self.events.push(self.prof, now + service_ns, done);
+        self.prof.incr(HotCounter::HedgesIssued);
+        self.metrics.record_hedge_issued();
+        self.tracer.emit(|| Event::HedgeIssued {
+            at: now,
+            primary: w as u32,
+            hedge: v as u32,
+            model: model as u32,
+            batch,
+        });
+        let chosen = ChosenAction::Hedge {
+            model: model as u32,
+            batch,
+            target: v as u32,
+        };
+        self.decide(now, first_query, w, chosen, ReasonCode::Hedge);
+    }
+
+    /// A timed membership action from the fault plan.
+    fn on_fault(&mut self, now: Nanos, idx: u32) {
+        match self.actions[idx as usize].1 {
+            FaultAction::Crash(w) => self.crash(now, w),
+            FaultAction::Recover(w) => self.recover(now, w),
+            FaultAction::SlowStart(w, factor) => self.cluster.slow[w] = factor,
+            FaultAction::SlowEnd(w) => self.cluster.slow[w] = 1.0,
+        }
+    }
+
+    /// Worker `w` crashes: its in-flight batch (and, with oracle
+    /// membership, its queue) is displaced per the plan's crash policy.
+    fn crash(&mut self, now: Nanos, w: usize) {
+        if !self.cluster.alive[w] {
+            return; // double crash: no-op
+        }
+        let cluster = &mut self.cluster;
+        cluster.alive[w] = false;
+        cluster.epochs[w] += 1;
+        cluster.down_since[w] = Some(now);
+        cluster.live -= 1;
+        cluster.lifecycle[w] = WorkerState::Down;
+        if let Some(rt) = self.scale.as_mut() {
+            rt.account_live(now, self.cluster.live);
+        }
+        let mut displaced: Vec<Query> = Vec::new();
+        if let Some(fl) = self.cluster.in_flight[w].take() {
+            self.cluster.busy[w] = false;
+            if let Some(v) = fl.twin {
+                // The crashed side of a hedged pair is a cancellation,
+                // not a loss: the twin keeps the queries.
+                if let Some(tw) = self.cluster.in_flight[v].as_mut() {
+                    tw.twin = None;
                 }
-                None => Self::strand(q, crash_policy, limbo, metrics, tracer, now),
-            },
-            Routing::PerWorkerShortestQueue => {
-                let target = (0..n_workers)
-                    .filter(|&w| sel[w])
-                    .min_by_key(|&w| (worker_queues[w].len(), w));
-                match target {
-                    Some(w) => {
-                        if !try_admit(
-                            &q,
-                            now,
-                            QueueId::Worker(w as u32),
-                            &worker_queues[w],
-                            &mut resil.admission[w],
-                            &apol,
-                            metrics,
-                            tracer,
-                        ) {
-                            return;
-                        }
-                        worker_queues[w].push_back(q);
-                        tracer.emit(|| Event::Enqueue {
+                self.prof.incr(HotCounter::HedgesCancelled);
+                self.metrics.record_hedge_cancelled(fl.started, now);
+                self.tracer.emit(|| Event::HedgeCancelled {
+                    at: now,
+                    worker: w as u32,
+                    winner: v as u32,
+                });
+            } else {
+                displaced.extend(fl.queries);
+            }
+        }
+        let crash_policy = self.plan.crash_policy;
+        if self.health.is_some() {
+            // Perceived health: the router learns nothing here — the
+            // worker stays in view until the detector suspects it, and
+            // its work waits where it is (that wait IS the detection
+            // lag). Under `Drop` the machine's on-board work is
+            // physically lost, exactly as with oracle membership.
+            match crash_policy {
+                CrashPolicy::Drop => {
+                    displaced.extend(self.worker_queues[w].drain(..));
+                    self.drop_crashed(now, &displaced);
+                }
+                // The interrupted batch is retriable: it waits at the
+                // dead worker's queue head (a stuck buffer under
+                // central routing) until suspicion or recovery
+                // releases it.
+                CrashPolicy::RequeueToSurvivors => {
+                    push_front_all(&mut self.worker_queues[w], displaced, now);
+                }
+            }
+            return;
+        }
+        displaced.extend(self.worker_queues[w].drain(..));
+        self.scheme.on_membership_change(self.cluster.live);
+        match crash_policy {
+            CrashPolicy::Drop => self.drop_crashed(now, &displaced),
+            CrashPolicy::RequeueToSurvivors => {
+                if self.tracer.on {
+                    for q in &displaced {
+                        self.tracer.emit(|| Event::CrashRequeue {
                             at: now,
                             query: q.id,
-                            queue: QueueId::Worker(w as u32),
-                            depth: worker_queues[w].len() as u32,
+                            from: w as u32,
                         });
-                        if cluster.alive[w] && !cluster.busy[w] {
-                            self.dispatch(
-                                w,
-                                now,
-                                scheme,
-                                estimator,
-                                &mut worker_queues[w],
-                                cluster,
-                                resil,
-                                sampler,
-                                metrics,
-                                heap,
-                                seq,
-                                tracer,
-                                prof,
-                                brown,
-                                dec,
-                                per.map(|p| p.live),
-                            );
+                    }
+                }
+                self.metrics.record_crash_requeued(displaced.len() as u64);
+                if self.routing == Routing::Central {
+                    push_front_all(&mut self.central_queue, displaced, now);
+                } else {
+                    self.spread(displaced, now);
+                }
+            }
+        }
+        self.kick_idle_workers(now);
+    }
+
+    /// Accounts queries physically lost with a crashed worker.
+    fn drop_crashed(&mut self, now: Nanos, lost: &[Query]) {
+        if self.tracer.on {
+            for q in lost {
+                self.tracer.emit(|| Event::Drop {
+                    at: now,
+                    query: q.id,
+                });
+            }
+        }
+        self.metrics.record_crash_dropped(lost);
+    }
+
+    /// Worker `w` recovers from a crash; stranded work flows back.
+    fn recover(&mut self, now: Nanos, w: usize) {
+        // Recovery only undoes a crash: it must not revive a warming,
+        // draining, or scaled-down slot (those have no crash timestamp).
+        if self.cluster.alive[w] || (self.scale.is_some() && self.cluster.down_since[w].is_none()) {
+            return; // recovery without crash: no-op
+        }
+        self.cluster.alive[w] = true;
+        self.cluster.live += 1;
+        self.cluster.lifecycle[w] = WorkerState::Live;
+        if let Some(rt) = self.scale.as_mut() {
+            rt.account_live(now, self.cluster.live);
+        }
+        if let Some(start) = self.cluster.down_since[w].take() {
+            self.metrics
+                .record_downtime_s(secs_from_nanos(now.saturating_sub(start)));
+        }
+        if let Some(hs) = self.health.as_mut() {
+            // A recover before suspicion is as invisible as the crash
+            // was: no membership change, crash-stuck central work flows
+            // back, and the worker serves again. A suspected worker
+            // stays ejected until its probes close the breaker.
+            hs.rebuild_view(&self.cluster);
+            if !hs.monitor.suspected(w) {
+                if self.routing == Routing::Central && !self.worker_queues[w].is_empty() {
+                    let stuck: Vec<Query> = self.worker_queues[w].drain(..).collect();
+                    push_front_all(&mut self.central_queue, stuck, now);
+                }
+                self.drain_limbo_to(now, w);
+                self.kick_idle_workers(now);
+            }
+            return;
+        }
+        self.scheme.on_membership_change(self.cluster.live);
+        // Stranded queries join the recovered worker's queue in arrival
+        // order.
+        self.drain_limbo_to(now, w);
+        self.kick_idle_workers(now);
+    }
+
+    /// Autoscaler controller tick: resize the pool toward the
+    /// controller's target and step the brownout ladder.
+    fn on_scale_tick(&mut self, now: Nanos) {
+        // Taken out for the tick so the pool can change around it.
+        let Some(mut rt) = self.scale.take() else {
+            return;
+        };
+        rt.stats.ticks += 1;
+        // Ticks reschedule themselves while arrivals remain, then stop
+        // so the run terminates.
+        let next = now + rt.tick_ns;
+        if next <= rt.tick_end {
+            self.events.push(self.prof, next, EventKind::ScaleTick);
+        }
+        let now_s = secs_from_nanos(now);
+        let load = self.estimator.estimate(now_s);
+        let sig = ScaleSignal {
+            now_s,
+            load_qps: load,
+            trend_qps_per_s: self.estimator.trend_qps_per_s(now_s).unwrap_or(0.0),
+            // With the detector on, the autoscaler sees the perceived
+            // pool: suspected workers are missing capacity, undetected
+            // crashes still look live.
+            live: self.perceived_live(),
+            warming: self.cluster.warming(),
+            draining: self.cluster.draining(),
+            queued: self.central_queue.len()
+                + self.worker_queues.iter().map(VecDeque::len).sum::<usize>(),
+        };
+        let desired = rt.controller.desired_workers(&sig);
+        let current = sig.live + sig.warming;
+        let mut handed_off_work = false;
+        if desired > current {
+            self.scale_up(now, &mut rt, desired - current);
+        } else if desired < current {
+            handed_off_work = self.scale_down(now, &mut rt, current - desired);
+        }
+        // Feed the brownout ladder: the load estimate against the live
+        // pool's capacity target.
+        let capacity_qps =
+            self.perceived_live() as f64 * rt.controller.policy().target_qps_per_worker;
+        if let Some(transition) = rt.ladder.observe(load, capacity_qps) {
+            match transition {
+                BrownoutTransition::Enter { rung } => {
+                    rt.stats.brownout_enters += 1;
+                    rt.stats.max_brownout_rung = rt.stats.max_brownout_rung.max(rung);
+                    if rung == 1 {
+                        rt.brownout_since = Some(now);
+                    }
+                    self.tracer.emit(|| Event::BrownoutEnter {
+                        at: now,
+                        rung,
+                        load_qps: load,
+                        capacity_qps,
+                    });
+                }
+                BrownoutTransition::Exit { rung } => {
+                    rt.stats.brownout_exits += 1;
+                    if rung == 1 {
+                        if let Some(start) = rt.brownout_since.take() {
+                            rt.stats.brownout_time_s += secs_from_nanos(now.saturating_sub(start));
                         }
                     }
-                    None => Self::strand(q, crash_policy, limbo, metrics, tracer, now),
-                }
-            }
-            Routing::Central => {
-                if !try_admit(
-                    &q,
-                    now,
-                    QueueId::Central,
-                    central_queue,
-                    &mut resil.admission[n_workers],
-                    &apol,
-                    metrics,
-                    tracer,
-                ) {
-                    return;
-                }
-                central_queue.push_back(q);
-                tracer.emit(|| Event::Enqueue {
-                    at: now,
-                    query: q.id,
-                    queue: QueueId::Central,
-                    depth: central_queue.len() as u32,
-                });
-                if let Some(w) =
-                    (0..n_workers).find(|&w| cluster.alive[w] && !cluster.busy[w] && sel[w])
-                {
-                    self.dispatch(
-                        w,
-                        now,
-                        scheme,
-                        estimator,
-                        central_queue,
-                        cluster,
-                        resil,
-                        sampler,
-                        metrics,
-                        heap,
-                        seq,
-                        tracer,
-                        prof,
-                        brown,
-                        dec,
-                        per.map(|p| p.live),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Handles an arrival with no live worker to route to: stranded in
-    /// limbo under `RequeueToSurvivors` (served after a recovery),
-    /// dropped under `Drop`.
-    fn strand(
-        q: Query,
-        policy: CrashPolicy,
-        limbo: &mut VecDeque<Query>,
-        metrics: &mut MetricsCollector,
-        tracer: &mut Tracer<'_>,
-        now: Nanos,
-    ) {
-        match policy {
-            CrashPolicy::RequeueToSurvivors => {
-                tracer.emit(|| Event::Enqueue {
-                    at: now,
-                    query: q.id,
-                    queue: QueueId::Limbo,
-                    depth: limbo.len() as u32 + 1,
-                });
-                limbo.push_back(q);
-            }
-            CrashPolicy::Drop => {
-                tracer.emit(|| Event::Drop {
-                    at: now,
-                    query: q.id,
-                });
-                metrics.record_crash_dropped(&[q]);
-            }
-        }
-    }
-
-    /// Ejects a freshly suspected worker from the perceived view and
-    /// displaces its queued work to perceived survivors, mirroring the
-    /// oracle crash-requeue path. An in-flight batch (false suspicion)
-    /// still runs to completion — suspicion is a routing decision, not
-    /// a physical fact.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_suspicion(
-        w: usize,
-        now: Nanos,
-        routing: Routing,
-        scheme: &mut dyn ServingScheme,
-        health: &mut HealthRuntime,
-        worker_queues: &mut [VecDeque<Query>],
-        central_queue: &mut VecDeque<Query>,
-        limbo: &mut VecDeque<Query>,
-        rr_next: &mut usize,
-        metrics: &mut MetricsCollector,
-        tracer: &mut Tracer<'_>,
-    ) {
-        if health.view[w] {
-            health.view[w] = false;
-            health.perceived_live -= 1;
-        }
-        let displaced: Vec<Query> = worker_queues[w].drain(..).collect();
-        if !displaced.is_empty() {
-            if tracer.on {
-                for q in &displaced {
-                    tracer.emit(|| Event::CrashRequeue {
+                    self.tracer.emit(|| Event::BrownoutExit {
                         at: now,
-                        query: q.id,
-                        from: w as u32,
+                        rung,
+                        load_qps: load,
+                        capacity_qps,
                     });
                 }
             }
-            metrics.record_crash_requeued(displaced.len() as u64);
-            health.monitor.stats.requeued_on_suspect += displaced.len() as u64;
-            match routing {
-                Routing::Central => {
-                    // Back to the head of the central queue: the stuck
-                    // batch carries the earliest deadlines.
-                    for mut q in displaced.into_iter().rev() {
-                        q.enqueued_at = now;
-                        central_queue.push_front(q);
-                    }
+        }
+        if let Some(b) = self.brown.as_mut() {
+            b.rung = rt.ladder.rung();
+        }
+        self.scale = Some(rt);
+        if handed_off_work {
+            self.kick_idle_workers(now);
+        }
+    }
+
+    /// Starts warming up to `need` scaled-down slots.
+    fn scale_up(&mut self, now: Nanos, rt: &mut AutoscaleRuntime, mut need: usize) {
+        let warmup_ns = nanos_from_secs(rt.controller.policy().warmup_s);
+        for w in 0..self.n_workers() {
+            if need == 0 {
+                break;
+            }
+            // Crash-downed slots belong to the fault plan (they come
+            // back via Recover), so scale-up skips them.
+            if self.cluster.lifecycle[w] != WorkerState::Down
+                || self.cluster.down_since[w].is_some()
+            {
+                continue;
+            }
+            self.cluster.lifecycle[w] = WorkerState::Warming;
+            rt.stats.scale_ups += 1;
+            let live = self.cluster.live;
+            self.tracer.emit(|| Event::ScaleUp {
+                at: now,
+                worker: w as u32,
+                live: live as u32,
+            });
+            let warm = EventKind::WarmupDone(w, self.cluster.epochs[w]);
+            self.events.push(self.prof, now + warmup_ns, warm);
+            need -= 1;
+        }
+    }
+
+    /// Removes `need` workers: cancelled warm-ups first, then drains of
+    /// Live workers. Returns whether queued work was handed off.
+    fn scale_down(&mut self, now: Nanos, rt: &mut AutoscaleRuntime, mut need: usize) -> bool {
+        // Cancelling a warm-up frees capacity that never went Live.
+        for w in (0..self.n_workers()).rev() {
+            if need == 0 {
+                break;
+            }
+            if self.cluster.lifecycle[w] != WorkerState::Warming {
+                continue;
+            }
+            self.cluster.lifecycle[w] = WorkerState::Down;
+            self.cluster.epochs[w] += 1; // strands the WarmupDone
+            rt.stats.scale_downs += 1;
+            let live = self.cluster.live;
+            self.tracer.emit(|| Event::ScaleDown {
+                at: now,
+                worker: w as u32,
+                live: live as u32,
+                handoffs: 0,
+            });
+            need -= 1;
+        }
+        // Then drain Live workers: queued work hands off to survivors
+        // now, the in-flight batch runs to completion.
+        let mut handed_off_work = false;
+        for w in (0..self.n_workers()).rev() {
+            if need == 0 {
+                break;
+            }
+            if self.cluster.lifecycle[w] != WorkerState::Live {
+                continue;
+            }
+            self.cluster.lifecycle[w] = WorkerState::Draining;
+            self.cluster.alive[w] = false;
+            self.cluster.live -= 1;
+            // A commanded drain is visible to the router immediately —
+            // no detection needed for planned exits.
+            if let Some(hs) = self.health.as_mut() {
+                if hs.view[w] {
+                    hs.view[w] = false;
+                    hs.perceived_live -= 1;
                 }
-                _ if health.perceived_live == 0 => limbo.extend(displaced),
-                _ => {
-                    for mut q in displaced {
-                        q.enqueued_at = now;
-                        let t = Self::next_live_rr(&health.view, rr_next)
-                            .expect("perceived_live > 0 checked");
-                        worker_queues[t].push_back(q);
-                    }
+            }
+            rt.account_live(now, self.cluster.live);
+            rt.stats.scale_downs += 1;
+            let handed: Vec<Query> = self.worker_queues[w].drain(..).collect();
+            rt.stats.drain_handoffs += handed.len() as u64;
+            let live = self.cluster.live;
+            let handoffs = handed.len() as u32;
+            self.tracer.emit(|| Event::ScaleDown {
+                at: now,
+                worker: w as u32,
+                live: live as u32,
+                handoffs,
+            });
+            if !handed.is_empty() {
+                // With no routable worker left (only warming capacity),
+                // stranded queries drain to the first worker that goes
+                // Live.
+                self.spread(handed, now);
+                handed_off_work = true;
+            }
+            self.scheme.on_membership_change(self.perceived_live());
+            if !self.cluster.busy[w] {
+                // Nothing in flight: the drain completes on the spot.
+                self.cluster.lifecycle[w] = WorkerState::Down;
+                rt.stats.drains_completed += 1;
+                self.tracer.emit(|| Event::DrainComplete {
+                    at: now,
+                    worker: w as u32,
+                });
+            }
+            need -= 1;
+        }
+        handed_off_work
+    }
+
+    /// A warming worker's warm-up elapsed: it joins the pool.
+    fn on_warmup_done(&mut self, now: Nanos, w: usize, epoch: u64) {
+        if epoch != self.cluster.epochs[w] || self.cluster.lifecycle[w] != WorkerState::Warming {
+            // Cancelled by a scale-in or a crash.
+            self.prof.incr(HotCounter::StaleEvents);
+            return;
+        }
+        self.cluster.lifecycle[w] = WorkerState::Live;
+        self.cluster.alive[w] = true;
+        self.cluster.live += 1;
+        if let Some(rt) = self.scale.as_mut() {
+            rt.stats.warmups_completed += 1;
+            rt.account_live(now, self.cluster.live);
+        }
+        let live = self.cluster.live;
+        self.tracer.emit(|| Event::WorkerWarm {
+            at: now,
+            worker: w as u32,
+            live: live as u32,
+        });
+        if let Some(hs) = self.health.as_mut() {
+            hs.rebuild_view(&self.cluster);
+        }
+        self.scheme.on_membership_change(self.perceived_live());
+        // Stranded queries (a scale-in or crash during a full outage)
+        // drain to the first worker to go Live, mirroring recovery.
+        self.drain_limbo_to(now, w);
+        self.kick_idle_workers(now);
+    }
+
+    /// Health-probe tick: heartbeat every probed worker and feed the
+    /// failure detector.
+    fn on_health_tick(&mut self, now: Nanos) {
+        let Some(hs) = self.health.as_ref() else {
+            return;
+        };
+        let next = now + hs.tick_ns;
+        if next <= hs.tick_end {
+            self.events.push(self.prof, next, EventKind::HealthTick);
+        }
+        let now_s = secs_from_nanos(now);
+        let mut moved = false;
+        for w in 0..self.n_workers() {
+            let hs = self
+                .health
+                .as_mut()
+                .expect("health ticks run with the detector on");
+            // Probe the perceived fleet plus anyone the monitor still
+            // tracks: live workers, crashed-but-undetected workers (the
+            // whole point), and suspected workers awaiting a half-open
+            // trial. Commanded-down slots are not probed — the control
+            // plane knows.
+            let probed = self.cluster.alive[w]
+                || self.cluster.down_since[w].is_some()
+                || hs.monitor.suspected(w);
+            if !probed {
+                continue;
+            }
+            // A probe is answered iff the worker is physically up and
+            // its heartbeat path is not partitioned. Gray failures live
+            // here: a partitioned-but-serving worker looks dead to
+            // probes while completing batches.
+            let responsive = self.cluster.alive[w] && !self.plan.partitioned(w, now_s);
+            let worker = w as u32;
+            self.tracer.emit(|| Event::ProbeSent { at: now, worker });
+            let outcome = hs
+                .monitor
+                .probe(w, now, responsive, self.cluster.down_since[w]);
+            if outcome.half_opened {
+                self.tracer
+                    .emit(|| Event::BreakerHalfOpen { at: now, worker });
+            }
+            match outcome.step {
+                ProbeStep::Ok | ProbeStep::TrialProgress => {}
+                ProbeStep::Failed => {
+                    self.tracer.emit(|| Event::ProbeFailed { at: now, worker });
+                }
+                ProbeStep::ReOpened => {
+                    self.tracer.emit(|| Event::ProbeFailed { at: now, worker });
+                    self.tracer.emit(|| Event::BreakerOpen { at: now, worker });
+                }
+                ProbeStep::Suspected(info) => {
+                    self.tracer.emit(|| Event::ProbeFailed { at: now, worker });
+                    self.suspect(now, w, info);
+                    moved = true;
+                }
+                ProbeStep::Reinstated { suspected_ns } => {
+                    self.tracer.emit(|| Event::BreakerClose { at: now, worker });
+                    self.tracer.emit(|| Event::Reinstate {
+                        at: now,
+                        worker,
+                        suspected_ns,
+                    });
+                    self.reinstate(now, w);
+                    moved = true;
                 }
             }
         }
-        scheme.on_membership_change(health.perceived_live);
+        if moved {
+            self.kick_idle_workers(now);
+        }
+    }
+
+    /// The detector just suspected `w`: report it, eject the worker
+    /// from the perceived view and displace its queued work to
+    /// perceived survivors, mirroring the oracle crash-requeue path. An
+    /// in-flight batch (false suspicion) still runs to completion —
+    /// suspicion is a routing decision, not a physical fact.
+    fn suspect(&mut self, now: Nanos, w: usize, info: SuspectInfo) {
+        let worker = w as u32;
+        self.tracer.emit(|| Event::Suspect {
+            at: now,
+            worker,
+            genuine: info.genuine,
+            lag_ns: info.lag_ns,
+        });
+        self.tracer.emit(|| Event::BreakerOpen { at: now, worker });
+        let hs = self
+            .health
+            .as_mut()
+            .expect("suspicion implies the detector");
+        if hs.view[w] {
+            hs.view[w] = false;
+            hs.perceived_live -= 1;
+        }
+        let displaced: Vec<Query> = self.worker_queues[w].drain(..).collect();
+        if !displaced.is_empty() {
+            hs.monitor.stats.requeued_on_suspect += displaced.len() as u64;
+            if self.tracer.on {
+                for q in &displaced {
+                    self.tracer.emit(|| Event::CrashRequeue {
+                        at: now,
+                        query: q.id,
+                        from: worker,
+                    });
+                }
+            }
+            self.metrics.record_crash_requeued(displaced.len() as u64);
+            if self.routing == Routing::Central {
+                push_front_all(&mut self.central_queue, displaced, now);
+            } else {
+                self.spread(displaced, now);
+            }
+        }
+        self.scheme.on_membership_change(self.perceived_live());
     }
 
     /// Returns a worker whose breaker just closed to the perceived view
     /// and drains any limbo work to it (per-worker routing only). The
     /// close was probe-gated, so the worker is physically alive here.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_reinstate(
-        w: usize,
-        now: Nanos,
-        routing: Routing,
-        scheme: &mut dyn ServingScheme,
-        health: &mut HealthRuntime,
-        worker_queues: &mut [VecDeque<Query>],
-        limbo: &mut VecDeque<Query>,
-        cluster: &Cluster,
-    ) {
-        health.view[w] =
-            !health.monitor.suspected(w) && (cluster.alive[w] || cluster.down_since[w].is_some());
-        health.perceived_live = health.view.iter().filter(|&&v| v).count();
-        if !limbo.is_empty() && routing != Routing::Central && health.view[w] {
-            for mut q in limbo.drain(..) {
-                q.enqueued_at = now;
-                worker_queues[w].push_back(q);
-            }
-        }
-        scheme.on_membership_change(health.perceived_live);
+    fn reinstate(&mut self, now: Nanos, w: usize) {
+        let hs = self
+            .health
+            .as_mut()
+            .expect("reinstatement implies the detector");
+        hs.view[w] = !hs.monitor.suspected(w)
+            && (self.cluster.alive[w] || self.cluster.down_since[w].is_some());
+        hs.perceived_live = hs.view.iter().filter(|&&v| v).count();
+        self.drain_limbo_to(now, w);
+        self.scheme.on_membership_change(self.perceived_live());
     }
 
-    /// After a membership change, gives every idle live worker with
-    /// visible work a chance to start serving.
-    #[allow(clippy::too_many_arguments)]
-    fn kick_idle_workers(
-        &self,
+    /// Routes one query — a fresh arrival or a backed-off retry — to a
+    /// queue per the scheme's routing discipline, consulting admission
+    /// control before the enqueue and starting service if the chosen
+    /// worker is idle. With no routable worker the query is stranded
+    /// (see [`Self::strand`]).
+    fn route_query(&mut self, mut q: Query, now: Nanos) {
+        q.enqueued_at = now;
+        let n_workers = self.n_workers();
+        // With the detector on, routing selects from the *perceived*
+        // membership: an undetected crash still receives work (it piles
+        // up until suspicion displaces it), a suspected-but-healthy
+        // worker is skipped. Physical service start below still gates
+        // on ground-truth `alive` — the simulator never runs a batch on
+        // a dead machine.
+        let sel: &[bool] = match &self.health {
+            Some(h) => &h.view,
+            None => &self.cluster.alive,
+        };
+        // The admission slot: `w` for worker `w`'s queue, `n_workers`
+        // for the central queue.
+        let target = match self.routing {
+            Routing::PerWorkerRoundRobin => next_live_rr(sel, &mut self.rr_next),
+            Routing::PerWorkerShortestQueue => (0..n_workers)
+                .filter(|&w| sel[w])
+                .min_by_key(|&w| (self.worker_queues[w].len(), w)),
+            Routing::Central => Some(n_workers),
+        };
+        let Some(slot) = target else {
+            self.strand(q, now);
+            return;
+        };
+        if !self.try_admit(&q, now, slot) {
+            return;
+        }
+        let (queue, queue_id) = if slot == n_workers {
+            (&mut self.central_queue, QueueId::Central)
+        } else {
+            (&mut self.worker_queues[slot], QueueId::Worker(slot as u32))
+        };
+        queue.push_back(q);
+        let depth = queue.len() as u32;
+        self.tracer.emit(|| Event::Enqueue {
+            at: now,
+            query: q.id,
+            queue: queue_id,
+            depth,
+        });
+        let idle = |w: usize| self.cluster.alive[w] && !self.cluster.busy[w];
+        let server = if slot == n_workers {
+            (0..n_workers).find(|&w| idle(w) && self.in_view(w))
+        } else {
+            Some(slot).filter(|&w| idle(w))
+        };
+        if let Some(w) = server {
+            self.dispatch(now, w);
+        }
+    }
+
+    /// Consults admission control before an enqueue into `slot`'s queue
+    /// (see [`Self::route_query`]). `true` admits; on refusal the query
+    /// is shed on the spot (event + counters) and must not be enqueued.
+    /// With admission disabled this is one branch and no state is
+    /// touched.
+    fn try_admit(&mut self, q: &Query, now: Nanos, slot: usize) -> bool {
+        let (queue, queue_id) = if slot == self.n_workers() {
+            (&self.central_queue, QueueId::Central)
+        } else {
+            (&self.worker_queues[slot], QueueId::Worker(slot as u32))
+        };
+        let depth = queue.len();
+        let front = queue.front().map(|h| h.enqueued_at);
+        let policy = &self.resil.policy.admission;
+        if self.resil.admission[slot]
+            .offer(policy, now, depth, front)
+            .is_none()
+        {
+            return true;
+        }
+        self.tracer.emit(|| Event::Admission {
+            at: now,
+            query: q.id,
+            queue: queue_id,
+            depth: depth as u32,
+            sojourn_ns: CoDelAdmission::sojourn_ns(now, front),
+        });
+        self.metrics.record_admission_shed(std::slice::from_ref(q));
+        false
+    }
+
+    /// Handles a query with no routable worker: stranded in limbo under
+    /// `RequeueToSurvivors` (served after a recovery), dropped under
+    /// `Drop`.
+    fn strand(&mut self, q: Query, now: Nanos) {
+        match self.plan.crash_policy {
+            CrashPolicy::RequeueToSurvivors => {
+                let depth = self.limbo.len() as u32 + 1;
+                self.tracer.emit(|| Event::Enqueue {
+                    at: now,
+                    query: q.id,
+                    queue: QueueId::Limbo,
+                    depth,
+                });
+                self.limbo.push_back(q);
+            }
+            CrashPolicy::Drop => self.drop_crashed(now, &[q]),
+        }
+    }
+
+    /// Hands displaced queries to the routable survivors round-robin,
+    /// or to limbo when none is left.
+    fn spread(&mut self, displaced: Vec<Query>, now: Nanos) {
+        let (view, live) = match &self.health {
+            Some(h) => (&h.view, h.perceived_live),
+            None => (&self.cluster.alive, self.cluster.live),
+        };
+        if live == 0 {
+            self.limbo.extend(displaced);
+            return;
+        }
+        for mut q in displaced {
+            q.enqueued_at = now;
+            let t = next_live_rr(view, &mut self.rr_next).expect("routable worker checked");
+            self.worker_queues[t].push_back(q);
+        }
+    }
+
+    /// Moves stranded limbo queries, in arrival order, to worker `w`
+    /// once it is routable again (per-worker routing only).
+    fn drain_limbo_to(&mut self, now: Nanos, w: usize) {
+        if self.limbo.is_empty() || self.routing == Routing::Central || !self.in_view(w) {
+            return;
+        }
+        for mut q in self.limbo.drain(..) {
+            q.enqueued_at = now;
+            self.worker_queues[w].push_back(q);
+        }
+    }
+
+    /// A draining worker's last batch ended: it leaves the pool.
+    fn finish_drain(&mut self, now: Nanos, w: usize) {
+        self.cluster.lifecycle[w] = WorkerState::Down;
+        if let Some(rt) = self.scale.as_mut() {
+            rt.stats.drains_completed += 1;
+        }
+        self.tracer.emit(|| Event::DrainComplete {
+            at: now,
+            worker: w as u32,
+        });
+    }
+
+    /// Claims a decision index for a resilience mechanism (retry,
+    /// shed, hedge) and records it when recording is on.
+    fn decide(
+        &mut self,
         now: Nanos,
-        routing: Routing,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        worker_queues: &mut [VecDeque<Query>],
-        central_queue: &mut VecDeque<Query>,
-        cluster: &mut Cluster,
-        resil: &mut ResilienceRuntime,
-        sampler: &mut LatencySampler,
-        metrics: &mut MetricsCollector,
-        heap: &mut EventHeap,
-        seq: &mut u64,
-        tracer: &mut Tracer<'_>,
-        prof: &mut Profiler,
-        brown: &mut Option<BrownoutState>,
-        dec: &mut DecisionTracer<'_>,
-        per: Option<Perceived<'_>>,
+        query: Option<u64>,
+        w: usize,
+        chosen: ChosenAction,
+        reason: ReasonCode,
     ) {
-        // Indexed: the queue borrow alternates between `worker_queues[w]`
-        // and the central queue depending on routing.
-        #[allow(clippy::needless_range_loop)]
-        for w in 0..cluster.alive.len() {
-            if !cluster.alive[w] || cluster.busy[w] || per.is_some_and(|p| !p.view[w]) {
-                continue;
+        let k = self.dec.next();
+        let scheme = &*self.scheme;
+        self.dec.record(self.prof, |event| DecisionRecord {
+            k,
+            at: now,
+            event,
+            query,
+            worker: w as u32,
+            state: None,
+            regime: scheme.regime().map(str::to_owned),
+            candidates: Vec::new(),
+            chosen,
+            effective: None,
+            reason,
+        });
+    }
+
+    /// Whether the detector currently suspects `w` (never with health
+    /// off).
+    fn suspected(&self, w: usize) -> bool {
+        self.health.as_ref().is_some_and(|h| h.monitor.suspected(w))
+    }
+
+    /// Whether the router sees `w` as a member: the perceived view with
+    /// health on, ground-truth liveness otherwise.
+    fn in_view(&self, w: usize) -> bool {
+        match &self.health {
+            Some(h) => h.view[w],
+            None => self.cluster.alive[w],
+        }
+    }
+
+    /// The pool size the router and the scheme see.
+    fn perceived_live(&self) -> usize {
+        self.health
+            .as_ref()
+            .map_or(self.cluster.live, |h| h.perceived_live)
+    }
+
+    /// Whether worker `w` has visible work (its queue, or the central
+    /// queue).
+    fn has_queued(&self, w: usize) -> bool {
+        match self.routing {
+            Routing::Central => !self.central_queue.is_empty(),
+            _ => !self.worker_queues[w].is_empty(),
+        }
+    }
+
+    /// After a membership change, gives every idle routable worker with
+    /// visible work a chance to start serving.
+    fn kick_idle_workers(&mut self, now: Nanos) {
+        for w in 0..self.n_workers() {
+            if self.cluster.alive[w]
+                && !self.cluster.busy[w]
+                && self.in_view(w)
+                && self.has_queued(w)
+            {
+                self.dispatch(now, w);
             }
-            let queue = match routing {
-                Routing::Central => &mut *central_queue,
-                _ => &mut worker_queues[w],
-            };
-            if queue.is_empty() {
-                continue;
-            }
-            self.dispatch(
-                w,
-                now,
-                scheme,
-                estimator,
-                queue,
-                cluster,
-                resil,
-                sampler,
-                metrics,
-                heap,
-                seq,
-                tracer,
-                prof,
-                brown,
-                dec,
-                per.map(|p| p.live),
-            );
         }
     }
 
     /// Asks the scheme for decisions for worker `w` until it starts
-    /// service, idles, or drains its queue (consecutive `Drop`
+    /// service, idles, or drains its visible queue (consecutive `Drop`
     /// selections shed instantly and re-ask, §4.3.1's drop
     /// reformulation).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        w: usize,
-        now: Nanos,
-        scheme: &mut dyn ServingScheme,
-        estimator: &mut dyn LoadEstimator,
-        queue: &mut VecDeque<Query>,
-        cluster: &mut Cluster,
-        resil: &mut ResilienceRuntime,
-        sampler: &mut LatencySampler,
-        metrics: &mut MetricsCollector,
-        heap: &mut EventHeap,
-        seq: &mut u64,
-        tracer: &mut Tracer<'_>,
-        prof: &mut Profiler,
-        brown: &mut Option<BrownoutState>,
-        dec: &mut DecisionTracer<'_>,
-        perceived_live: Option<usize>,
-    ) {
-        debug_assert!(!cluster.busy[w], "dispatch on a busy worker");
-        debug_assert!(cluster.alive[w], "dispatch on a dead worker");
-        prof.enter(Phase::Dispatch);
-        let profile = self.profile_of(w);
-        while !queue.is_empty() {
-            prof.incr(HotCounter::PolicyLookups);
-            prof.gauge(GaugeId::QueueDepth, queue.len() as u64);
-            let earliest = queue.front().expect("queue checked non-empty");
+    fn dispatch(&mut self, now: Nanos, w: usize) {
+        debug_assert!(!self.cluster.busy[w], "dispatch on a busy worker");
+        debug_assert!(self.cluster.alive[w], "dispatch on a dead worker");
+        self.prof.enter(Phase::Dispatch);
+        let profile = self.sim.profile_of(w);
+        let live_workers = self.perceived_live();
+        let queue = match self.routing {
+            Routing::Central => &mut self.central_queue,
+            _ => &mut self.worker_queues[w],
+        };
+        while let Some(earliest) = queue.front() {
+            self.prof.incr(HotCounter::PolicyLookups);
+            self.prof.gauge(GaugeId::QueueDepth, queue.len() as u64);
             let ctx = SelectionContext {
                 now_s: secs_from_nanos(now),
-                load_qps: estimator.estimate(secs_from_nanos(now)),
+                load_qps: self.estimator.estimate(secs_from_nanos(now)),
                 queued: queue.len(),
                 earliest_slack_s: earliest.slack_at(now),
                 worker: w,
-                live_workers: perceived_live.unwrap_or(cluster.live),
+                live_workers,
             };
-            prof.enter(Phase::PolicySelect);
-            let selection = scheme.select(&ctx);
-            prof.exit(Phase::PolicySelect);
-            tracer.drain_scheme(scheme);
             let front_query = earliest.id;
+            self.prof.enter(Phase::PolicySelect);
+            let selection = self.scheme.select(&ctx);
+            self.prof.exit(Phase::PolicySelect);
+            self.tracer.drain_scheme(self.scheme);
             // Counterfactual branch point: the scheme is always asked
             // (so its internal state evolves identically), but a forced
             // alternative replaces its raw pick at exactly one decision
             // index. Batch / shed counts are clamped to the visible
             // queue so a replay under different queue depth stays valid.
-            let dk = dec.next();
-            let selection = match dec.force(dk) {
+            let k = self.dec.next();
+            let visible = queue.len() as u32;
+            let selection = match self.dec.force(k) {
                 Some(Selection::Serve { model, batch }) => Selection::Serve {
                     model,
-                    batch: batch.clamp(1, queue.len() as u32),
+                    batch: batch.clamp(1, visible),
                 },
                 Some(Selection::Drop { count }) => Selection::Drop {
-                    count: count.clamp(1, queue.len() as u32),
+                    count: count.clamp(1, visible),
                 },
                 Some(Selection::Idle) => Selection::Idle,
                 None => selection,
             };
-            tracer.emit(|| Event::PolicyDecision {
+            self.tracer.emit(|| Event::PolicyDecision {
                 at: now,
                 worker: w as u32,
-                queued: ctx.queued as u32,
+                queued: visible,
                 slack_ns: (ctx.earliest_slack_s * 1e9).round() as i64,
                 action: match selection {
                     Selection::Serve { model, batch } => Action::Serve {
@@ -3892,208 +2908,172 @@ impl<'a> Simulation<'a> {
                     Selection::Idle => Action::Idle,
                 },
             });
-            match selection {
-                Selection::Idle => {
-                    if dec.on {
-                        prof.enter(Phase::Decision);
-                        let reason = if scheme.last_select_was_fallback() {
-                            ReasonCode::Fallback
-                        } else {
-                            ReasonCode::PolicyLookup
-                        };
-                        let regime = scheme.regime().map(str::to_owned);
-                        let candidates = decision_candidates(
-                            profile,
-                            &ctx,
-                            (queue.len() as u32).min(profile.max_batch()),
-                        );
-                        dec.emit(|event| DecisionRecord {
-                            k: dk,
-                            at: now,
-                            event,
-                            query: Some(front_query),
-                            worker: w as u32,
-                            state: Some(decision_state(&ctx)),
-                            regime,
-                            candidates,
-                            chosen: ChosenAction::Idle,
-                            effective: None,
-                            reason,
-                        });
-                        prof.exit(Phase::Decision);
-                    }
-                    break;
+            // Brownout: a model banned by the active rung degrades to
+            // the slowest still-allowed one before the dispatch commits.
+            // The PolicyDecision event above keeps the scheme's raw
+            // choice; the Dispatch event below carries the degraded
+            // model.
+            let served_model = match selection {
+                Selection::Serve { model, .. } => {
+                    self.brown.as_mut().map_or(model, |b| b.remap(model))
                 }
+                // Only a Serve selection has a model to degrade.
+                _ => 0,
+            };
+            if self.dec.on {
+                let scheme = &*self.scheme;
+                let lookup = || {
+                    if scheme.last_select_was_fallback() {
+                        ReasonCode::Fallback
+                    } else {
+                        ReasonCode::PolicyLookup
+                    }
+                };
+                let visible_batch = visible.min(profile.max_batch());
+                let (chosen, effective, reason, cand_batch) = match selection {
+                    Selection::Idle => (ChosenAction::Idle, None, lookup(), visible_batch),
+                    Selection::Drop { count } => (
+                        ChosenAction::Shed { count },
+                        None,
+                        ReasonCode::Shed,
+                        visible_batch,
+                    ),
+                    Selection::Serve { model, batch } => {
+                        let chosen = ChosenAction::Serve {
+                            model: model as u32,
+                            batch,
+                        };
+                        if served_model == model {
+                            (chosen, None, lookup(), batch)
+                        } else {
+                            let effective = ChosenAction::Serve {
+                                model: served_model as u32,
+                                batch,
+                            };
+                            (chosen, Some(effective), ReasonCode::DegradedRung, batch)
+                        }
+                    }
+                };
+                self.dec.record(self.prof, |event| DecisionRecord {
+                    k,
+                    at: now,
+                    event,
+                    query: Some(front_query),
+                    worker: w as u32,
+                    state: Some(decision_state(&ctx)),
+                    regime: scheme.regime().map(str::to_owned),
+                    candidates: decision_candidates(profile, &ctx, cand_batch),
+                    chosen,
+                    effective,
+                    reason,
+                });
+            }
+            match selection {
+                Selection::Idle => break,
                 Selection::Drop { count } => {
                     assert!(
-                        count >= 1 && count as usize <= queue.len(),
-                        "scheme shed {count} from a queue of {}",
-                        queue.len()
+                        count >= 1 && count <= visible,
+                        "scheme shed {count} from a queue of {visible}"
                     );
-                    if dec.on {
-                        prof.enter(Phase::Decision);
-                        let regime = scheme.regime().map(str::to_owned);
-                        let candidates = decision_candidates(
-                            profile,
-                            &ctx,
-                            (queue.len() as u32).min(profile.max_batch()),
-                        );
-                        dec.emit(|event| DecisionRecord {
-                            k: dk,
-                            at: now,
-                            event,
-                            query: Some(front_query),
-                            worker: w as u32,
-                            state: Some(decision_state(&ctx)),
-                            regime,
-                            candidates,
-                            chosen: ChosenAction::Shed { count },
-                            effective: None,
-                            reason: ReasonCode::Shed,
-                        });
-                        prof.exit(Phase::Decision);
-                    }
                     let shed: Vec<Query> = queue.drain(..count as usize).collect();
-                    if tracer.on {
-                        let cause = scheme.shed_cause();
+                    if self.tracer.on {
+                        let cause = self.scheme.shed_cause();
                         for q in &shed {
-                            tracer.emit(|| Event::Shed {
+                            self.tracer.emit(|| Event::Shed {
                                 at: now,
                                 query: q.id,
                                 cause,
                             });
                         }
                     }
-                    metrics.record_dropped(&shed);
+                    self.metrics.record_dropped(&shed);
                     // Shedding takes no time; ask again for the rest.
                 }
-                Selection::Serve { model, batch } => {
-                    // Brownout: a model banned by the active rung
-                    // degrades to the slowest still-allowed one before
-                    // the dispatch commits. The PolicyDecision event
-                    // above keeps the scheme's raw choice; the Dispatch
-                    // event below carries the degraded model.
-                    let raw_model = model;
-                    let model = match brown.as_mut() {
-                        Some(b) => b.remap(model),
-                        None => model,
-                    };
-                    if dec.on {
-                        prof.enter(Phase::Decision);
-                        let reason = if model != raw_model {
-                            ReasonCode::DegradedRung
-                        } else if scheme.last_select_was_fallback() {
-                            ReasonCode::Fallback
-                        } else {
-                            ReasonCode::PolicyLookup
-                        };
-                        let regime = scheme.regime().map(str::to_owned);
-                        let candidates = decision_candidates(profile, &ctx, batch);
-                        let effective = (model != raw_model).then_some(ChosenAction::Serve {
-                            model: model as u32,
-                            batch,
-                        });
-                        dec.emit(|event| DecisionRecord {
-                            k: dk,
-                            at: now,
-                            event,
-                            query: Some(front_query),
-                            worker: w as u32,
-                            state: Some(decision_state(&ctx)),
-                            regime,
-                            candidates,
-                            chosen: ChosenAction::Serve {
-                                model: raw_model as u32,
-                                batch,
-                            },
-                            effective,
-                            reason,
-                        });
-                        prof.exit(Phase::Decision);
-                    }
+                Selection::Serve { batch, .. } => {
+                    let model = served_model;
                     assert!(
-                        batch >= 1 && batch as usize <= queue.len(),
-                        "scheme chose batch {batch} from a queue of {}",
-                        queue.len()
+                        batch >= 1 && batch <= visible,
+                        "scheme chose batch {batch} from a queue of {visible}"
                     );
                     assert!(
                         model < profile.n_models(),
                         "scheme chose unknown model {model}"
                     );
-                    tracer.emit(|| Event::Dispatch {
+                    self.tracer.emit(|| Event::Dispatch {
                         at: now,
                         worker: w as u32,
                         model: model as u32,
                         batch,
-                        depth: queue.len() as u32,
+                        depth: visible,
                     });
-                    prof.incr(HotCounter::Dispatches);
-                    let batch_queries: Vec<Query> = queue.drain(..batch as usize).collect();
-                    let service = sampler.sample(profile, model, batch) * cluster.slow[w];
-                    let service_ns = nanos_from_secs(service);
-                    cluster.busy[w] = true;
-                    let epoch = cluster.epochs[w];
-                    // A dispatch gets exactly one end event: its
-                    // completion, or — when timeouts are on and the
-                    // granted budget runs out first — a timeout.
-                    let tpol = resil.policy.timeout;
-                    let mut timeout_cut = Nanos::MAX;
-                    if tpol.enabled {
-                        let slack = batch_queries[0].deadline.saturating_sub(now);
-                        let t_ns = nanos_from_secs(tpol.min_timeout_s)
-                            .max((slack as f64 * tpol.slack_fraction) as Nanos);
-                        if t_ns < service_ns {
-                            timeout_cut = t_ns;
-                            heap.push(Reverse((now + t_ns, *seq, EventKind::Timeout(w, epoch))));
-                        } else {
-                            heap.push(Reverse((
-                                now + service_ns,
-                                *seq,
-                                EventKind::WorkerDone(w, epoch),
-                            )));
-                        }
-                        *seq += 1;
-                    } else {
-                        heap.push(Reverse((
-                            now + service_ns,
-                            *seq,
-                            EventKind::WorkerDone(w, epoch),
-                        )));
-                        *seq += 1;
-                    }
-                    prof.incr(HotCounter::HeapPushes);
-                    let hpol = resil.policy.hedge;
-                    if hpol.enabled {
-                        resil.service_hist.record(service_ns);
-                        if cluster.alive.len() > 1 {
-                            if let Some(delay) = resil.hedge_delay_ns() {
-                                // Hedging past the dispatch's own end
-                                // would be a no-op; don't schedule it.
-                                if delay < service_ns.min(timeout_cut) {
-                                    heap.push(Reverse((
-                                        now + delay,
-                                        *seq,
-                                        EventKind::HedgeDue(w, epoch),
-                                    )));
-                                    *seq += 1;
-                                    prof.incr(HotCounter::HeapPushes);
-                                }
-                            }
-                        }
-                    }
-                    cluster.in_flight[w] = Some(InFlight {
-                        model,
-                        queries: batch_queries,
-                        started: now,
-                        twin: None,
-                        is_hedge: false,
-                    });
+                    self.prof.incr(HotCounter::Dispatches);
+                    let queries: Vec<Query> = queue.drain(..batch as usize).collect();
+                    self.start_service(now, w, model, queries);
                     break;
                 }
             }
         }
-        prof.exit(Phase::Dispatch);
+        self.prof.exit(Phase::Dispatch);
     }
+
+    /// Starts worker `w` on `queries` with `model`, scheduling the one
+    /// end event the dispatch gets — its completion, or, when timeouts
+    /// are on and the granted budget runs out first, a timeout — plus a
+    /// hedge trigger when hedging is on.
+    fn start_service(&mut self, now: Nanos, w: usize, model: usize, queries: Vec<Query>) {
+        let batch = queries.len() as u32;
+        let service =
+            self.sampler.sample(self.sim.profile_of(w), model, batch) * self.cluster.slow[w];
+        let service_ns = nanos_from_secs(service);
+        self.cluster.busy[w] = true;
+        let epoch = self.cluster.epochs[w];
+        let tpol = self.resil.policy.timeout;
+        let mut end = (now + service_ns, EventKind::WorkerDone(w, epoch));
+        let mut timeout_cut = Nanos::MAX;
+        if tpol.enabled {
+            let slack = queries[0].deadline.saturating_sub(now);
+            let t_ns = nanos_from_secs(tpol.min_timeout_s)
+                .max((slack as f64 * tpol.slack_fraction) as Nanos);
+            if t_ns < service_ns {
+                timeout_cut = t_ns;
+                end = (now + t_ns, EventKind::Timeout(w, epoch));
+            }
+        }
+        self.events.push(self.prof, end.0, end.1);
+        if self.resil.policy.hedge.enabled {
+            self.resil.service_hist.record(service_ns);
+            if self.n_workers() > 1 {
+                // Hedging past the dispatch's own end would be a no-op;
+                // don't schedule it.
+                if let Some(delay) = self.resil.hedge_delay_ns() {
+                    if delay < service_ns.min(timeout_cut) {
+                        self.events
+                            .push(self.prof, now + delay, EventKind::HedgeDue(w, epoch));
+                    }
+                }
+            }
+        }
+        self.cluster.in_flight[w] = Some(InFlight {
+            model,
+            queries,
+            started: now,
+            twin: None,
+            is_hedge: false,
+        });
+    }
+}
+
+/// The error for a snapshot that disagrees with the config about
+/// whether the `what` subsystem is on.
+fn subsystem_mismatch(what: &str, config_enables: bool) -> SimError {
+    let (snap, config) = if config_enables {
+        ("lacks", "enables")
+    } else {
+        ("carries", "disables")
+    };
+    SimError::InvalidConfig(format!(
+        "snapshot {snap} {what} state but the config {config} it"
+    ))
 }
 
 #[cfg(test)]
@@ -4234,8 +3214,12 @@ mod tests {
                 model: profile().fastest_model(),
             };
             let mut monitor = LoadMonitor::new();
-            sim.run_faulted(&trace, &plan, &mut scheme, &mut monitor)
-                .unwrap()
+            sim.execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -4263,9 +3247,8 @@ mod tests {
             &mut m1,
         );
         let with_empty_plan = sim
-            .run_faulted(
-                &trace,
-                &FaultPlan::none(),
+            .execute(
+                RunSpec::trace(&trace),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
@@ -4287,7 +3270,11 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .unwrap();
         assert_eq!(report.served, report.total_arrivals);
         assert_eq!(report.dropped, 0);
@@ -4308,7 +3295,11 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .unwrap();
         assert!(report.faults.crash_dropped > 0);
         assert_eq!(report.dropped, report.faults.crash_dropped);
@@ -4324,8 +3315,12 @@ mod tests {
                 model: profile().fastest_model(),
             };
             let mut monitor = LoadMonitor::new();
-            sim.run_faulted(&trace, plan, &mut scheme, &mut monitor)
-                .unwrap()
+            sim.execute(
+                RunSpec::trace(&trace).faults(plan),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap()
         };
         let nominal = run(&FaultPlan::none());
         let slowed = run(&FaultPlan::none()
@@ -4348,8 +3343,12 @@ mod tests {
                 model: profile().fastest_model(),
             };
             let mut monitor = LoadMonitor::new();
-            sim.run_faulted(&trace, plan, &mut scheme, &mut monitor)
-                .unwrap()
+            sim.execute(
+                RunSpec::trace(&trace).faults(plan),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap()
         };
         let nominal = run(&FaultPlan::none());
         let surged = run(&FaultPlan::none().surge(2.0, 8.0, 3.0));
@@ -4379,7 +3378,11 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .unwrap();
         assert_eq!(report.served, report.total_arrivals);
         assert!(report.faults.downtime_s > 2.0);
@@ -4393,7 +3396,11 @@ mod tests {
         let mut monitor = LoadMonitor::new();
         let plan = FaultPlan::none().crash(7, 1.0);
         assert!(sim
-            .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor
+            )
             .is_err());
     }
 
@@ -4584,7 +3591,9 @@ mod tests {
         let sim = Simulation::new(profile(), SimulationConfig::new(2, 0.15)).unwrap();
         let mut scheme = GreedyFastest { model: 0 };
         let mut monitor = LoadMonitor::new();
-        let report = sim.run_arrivals(&[], &mut scheme, &mut monitor);
+        let report = sim
+            .execute(RunSpec::arrivals(&[]), &mut scheme, &mut monitor)
+            .unwrap();
         assert_eq!(report.total_arrivals, 0);
         assert_eq!(report.served, 0);
     }
@@ -4598,7 +3607,13 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let mut sink = ramsis_telemetry::VecSink::new();
-        let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+        let report = sim
+            .execute(
+                RunSpec::trace(&trace).telemetry(&mut sink),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap();
         assert_eq!(
             report.resilience,
             crate::metrics::ResilienceStats::default()
@@ -4633,7 +3648,11 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
             .unwrap();
         assert!(report.resilience.timeouts > 0);
         assert!(report.resilience.retries > 0);
@@ -4704,8 +3723,12 @@ mod tests {
                 model: profile().fastest_model(),
             };
             let mut monitor = LoadMonitor::new();
-            sim.run_faulted(&trace, &plan, &mut scheme, &mut monitor)
-                .unwrap()
+            sim.execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -4749,7 +3772,9 @@ mod tests {
         }
         let sim = Simulation::new(profile(), SimulationConfig::new(1, 0.15)).unwrap();
         let mut monitor = LoadMonitor::new();
-        let _ = sim.run_arrivals(&[0.0], &mut Bad, &mut monitor);
+        let _ = sim
+            .execute(RunSpec::arrivals(&[0.0]), &mut Bad, &mut monitor)
+            .unwrap();
     }
 
     // ---- elastic capacity -------------------------------------------
@@ -4763,7 +3788,13 @@ mod tests {
         };
         let mut monitor = LoadMonitor::new();
         let mut sink = ramsis_telemetry::VecSink::new();
-        let report = sim.run_traced(trace, &mut scheme, &mut monitor, &mut sink);
+        let report = sim
+            .execute(
+                RunSpec::trace(trace).telemetry(&mut sink),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap();
         (report, sink.into_events())
     }
 
@@ -4882,7 +3913,13 @@ mod tests {
         let mut scheme = GreedyFastestRr { model: slow };
         let mut monitor = LoadMonitor::new();
         let mut sink = ramsis_telemetry::VecSink::new();
-        let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+        let report = sim
+            .execute(
+                RunSpec::trace(&trace).telemetry(&mut sink),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap();
         let stats = report.autoscale.expect("enabled run reports stats");
         assert!(stats.brownout_enters > 0, "{stats:?}");
         assert!(stats.brownout_exits > 0, "{stats:?}");
@@ -4928,7 +3965,11 @@ mod tests {
             let mut monitor = LoadMonitor::new();
             let mut sink = ramsis_telemetry::VecSink::new();
             let report = sim
-                .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+                .execute(
+                    RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+                    &mut scheme,
+                    &mut monitor,
+                )
                 .unwrap();
             (report, sink.into_events())
         };
@@ -5015,7 +4056,11 @@ mod tests {
         let mut monitor = LoadMonitor::new();
         let mut sink = ramsis_telemetry::VecSink::new();
         let report = sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+                &mut scheme,
+                &mut monitor,
+            )
             .unwrap();
         let stats = report.autoscale.expect("enabled run reports stats");
         assert!(stats.warmups_completed >= 1, "{stats:?}");
@@ -5044,7 +4089,13 @@ mod tests {
         let mut scheme = degrading_scheme(6, &[50.0, 150.0, 300.0]);
         let mut monitor = LoadMonitor::new();
         let mut sink = ramsis_telemetry::VecSink::new();
-        let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+        let report = sim
+            .execute(
+                RunSpec::trace(&trace).telemetry(&mut sink),
+                &mut scheme,
+                &mut monitor,
+            )
+            .unwrap();
         let stats = report.autoscale.expect("enabled run reports stats");
         assert!(stats.scale_ups > 0 && stats.scale_downs > 0, "{stats:?}");
         let events = sink.into_events();
@@ -5081,20 +4132,20 @@ mod tests {
             model: profile().fastest_model(),
         };
         let plain = sim
-            .run_faulted(&trace, &plan, &mut scheme(), &mut LoadMonitor::new())
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme(),
+                &mut LoadMonitor::new(),
+            )
             .unwrap();
         let mut rec = MemoryRecorder::new();
         let durable = sim
-            .run_durable(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &mut rec,
             )
-            .unwrap()
-            .expect("no stop requested");
+            .unwrap();
         assert!(rec.snapshots.len() >= 3, "took {}", rec.snapshots.len());
         assert_eq!(plain, durable);
         assert_eq!(
@@ -5113,16 +4164,15 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         let mut full_sink = ramsis_telemetry::VecSink::new();
         let full_report = sim
-            .run_durable(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut full_sink)
+                    .checkpoints(&mut rec),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut full_sink,
-                &mut rec,
             )
-            .unwrap()
-            .expect("no stop requested");
+            .unwrap();
         let full_events = full_sink.into_events();
         let full_json = serde_json::to_string(&full_report).unwrap();
         assert!(!rec.snapshots.is_empty());
@@ -5135,13 +4185,13 @@ mod tests {
             // telemetry suffix.
             let mut sink = ramsis_telemetry::VecSink::new();
             let resumed = sim
-                .resume(
-                    &trace,
-                    &plan,
+                .execute(
+                    RunSpec::trace(&trace)
+                        .faults(&plan)
+                        .telemetry(&mut sink)
+                        .resume_from(&back),
                     &mut scheme(),
                     &mut LoadMonitor::new(),
-                    &mut sink,
-                    &back,
                 )
                 .unwrap();
             assert_eq!(serde_json::to_string(&resumed).unwrap(), full_json);
@@ -5160,37 +4210,39 @@ mod tests {
             model: profile().fastest_model(),
         };
         let full = sim
-            .run_faulted(&trace, &plan, &mut scheme(), &mut LoadMonitor::new())
+            .execute(
+                RunSpec::trace(&trace).faults(&plan),
+                &mut scheme(),
+                &mut LoadMonitor::new(),
+            )
             .unwrap();
         // Kill right after the second checkpoint, then resume from it
         // with checkpointing still on (the multi-kill chain shape).
         let mut rec = MemoryRecorder::stop_after(2);
         let killed = sim
-            .run_durable(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &mut rec,
             )
-            .unwrap();
-        assert!(killed.is_none(), "recorder stop must abort the run");
+            .unwrap_err();
+        assert!(
+            matches!(killed, SimError::Interrupted { .. }),
+            "recorder stop must abort the run: {killed}"
+        );
         assert_eq!(rec.snapshots.len(), 2);
         let latest = rec.snapshots.last().unwrap().clone();
         let mut rec2 = MemoryRecorder::new();
         let resumed = sim
-            .resume_durable(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .checkpoints(&mut rec2)
+                    .resume_from(&latest),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &latest,
-                &mut rec2,
             )
-            .unwrap()
-            .expect("no stop requested on the resumed leg");
+            .unwrap();
         assert_eq!(resumed, full);
         // The resumed leg keeps checkpointing past the kill point.
         assert!(!rec2.snapshots.is_empty());
@@ -5219,29 +4271,26 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         let mut full_sink = ramsis_telemetry::VecSink::new();
         let full_report = sim
-            .run_durable(
-                &trace,
-                &FaultPlan::none(),
+            .execute(
+                RunSpec::trace(&trace)
+                    .telemetry(&mut full_sink)
+                    .checkpoints(&mut rec),
                 &mut degrading_scheme(6, &[50.0, 150.0, 300.0]),
                 &mut LoadMonitor::new(),
-                &mut full_sink,
-                &mut rec,
             )
-            .unwrap()
-            .expect("no stop requested");
+            .unwrap();
         let full_events = full_sink.into_events();
         assert!(!rec.snapshots.is_empty());
         for snap in &rec.snapshots {
             assert!(snap.autoscale.is_some(), "autoscale state must travel");
             let mut sink = ramsis_telemetry::VecSink::new();
             let resumed = sim
-                .resume(
-                    &trace,
-                    &FaultPlan::none(),
+                .execute(
+                    RunSpec::trace(&trace)
+                        .telemetry(&mut sink)
+                        .resume_from(snap),
                     &mut degrading_scheme(6, &[50.0, 150.0, 300.0]),
                     &mut LoadMonitor::new(),
-                    &mut sink,
-                    snap,
                 )
                 .unwrap();
             assert_eq!(resumed, full_report);
@@ -5264,18 +4313,14 @@ mod tests {
         .unwrap();
         let mut rec = MemoryRecorder::new();
         let report = sim
-            .run_durable(
-                &trace,
-                &FaultPlan::none(),
+            .execute(
+                RunSpec::trace(&trace).checkpoints(&mut rec),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &mut rec,
             )
-            .unwrap()
-            .expect("no stop requested");
+            .unwrap();
         assert!(report.served > 0);
         // ~4 simulated seconds at a 1 s cadence: one snapshot per
         // crossed boundary, each strictly past its multiple.
@@ -5297,55 +4342,47 @@ mod tests {
             model: profile().fastest_model(),
         };
         let mut rec = MemoryRecorder::stop_after(1);
-        sim.run_durable(
-            &trace,
-            &plan,
-            &mut scheme(),
-            &mut LoadMonitor::new(),
-            &mut NullSink,
-            &mut rec,
-        )
-        .unwrap();
+        let stopped = sim
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
+                &mut scheme(),
+                &mut LoadMonitor::new(),
+            )
+            .unwrap_err();
+        assert!(matches!(stopped, SimError::Interrupted { .. }), "{stopped}");
         let snap = rec.snapshots.pop().unwrap();
 
         // Wrong seeds: different arrival stream.
         let other = Simulation::new(profile(), config.seeded(99)).unwrap();
         let err = other
-            .resume(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).resume_from(&snap),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &snap,
             )
             .unwrap_err();
         assert!(err.to_string().contains("cannot resume"), "{err}");
 
         // Wrong scheme.
         let err = sim
-            .resume(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace).faults(&plan).resume_from(&snap),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &snap,
             )
             .unwrap_err();
         assert!(err.to_string().contains("scheme"), "{err}");
 
         // Wrong trace: arrival fingerprint mismatch.
         let err = sim
-            .resume(
-                &Trace::constant(210.0, 6.0),
-                &plan,
+            .execute(
+                RunSpec::trace(&Trace::constant(210.0, 6.0))
+                    .faults(&plan)
+                    .resume_from(&snap),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &snap,
             )
             .unwrap_err();
         assert!(err.to_string().contains("arrival stream"), "{err}");
@@ -5356,15 +4393,12 @@ mod tests {
         let trace = Trace::constant(100.0, 1.0);
         let sim = Simulation::new(profile(), SimulationConfig::new(2, 0.15)).unwrap();
         let err = sim
-            .run_durable(
-                &trace,
-                &FaultPlan::none(),
+            .execute(
+                RunSpec::trace(&trace).checkpoints(&mut MemoryRecorder::new()),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &mut MemoryRecorder::new(),
             )
             .unwrap_err();
         assert!(err.to_string().contains("disabled"), "{err}");
@@ -5396,13 +4430,10 @@ mod tests {
         )
         .unwrap();
         let err = sim
-            .run_durable(
-                &trace,
-                &FaultPlan::none(),
+            .execute(
+                RunSpec::trace(&trace).checkpoints(&mut MemoryRecorder::new()),
                 &mut Blind,
                 &mut LoadMonitor::new(),
-                &mut NullSink,
-                &mut MemoryRecorder::new(),
             )
             .unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "{err}");

@@ -8,12 +8,10 @@ use std::time::Duration;
 use ramsis_core::{Discretization, PolicyConfig, PolicySet};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    FaultPlan, ForcedDecision, ResiliencePolicy, RetryPolicy, Selection, Simulation,
-    SimulationConfig, TimeoutPolicy,
+    CheckpointPolicy, FaultPlan, ForcedDecision, MemoryRecorder, ResiliencePolicy, RetryPolicy,
+    RunSpec, Selection, Simulation, SimulationConfig, TimeoutPolicy,
 };
-use ramsis_telemetry::{
-    ChosenAction, NullDecisionSink, NullSink, ReasonCode, VecDecisionSink, VecSink,
-};
+use ramsis_telemetry::{ChosenAction, NullDecisionSink, ReasonCode, VecDecisionSink, VecSink};
 use ramsis_workload::{LoadMonitor, Trace};
 
 fn profile() -> &'static WorkerProfile {
@@ -39,6 +37,11 @@ fn scheme() -> ramsis_sim::RamsisScheme {
 }
 
 fn scenario() -> (Simulation<'static>, Trace, FaultPlan) {
+    let (config, trace, plan) = scenario_parts();
+    (Simulation::new(profile(), config).unwrap(), trace, plan)
+}
+
+fn scenario_parts() -> (SimulationConfig, Trace, FaultPlan) {
     let config = SimulationConfig::new(2, 0.15).with_resilience(ResiliencePolicy {
         timeout: TimeoutPolicy {
             enabled: true,
@@ -50,10 +53,9 @@ fn scenario() -> (Simulation<'static>, Trace, FaultPlan) {
         },
         ..ResiliencePolicy::default()
     });
-    let sim = Simulation::new(profile(), config).unwrap();
     let trace = Trace::constant(80.0, 8.0);
     let plan = FaultPlan::none().crash(0, 2.0).recover(0, 5.0);
-    (sim, trace, plan)
+    (config, trace, plan)
 }
 
 /// With a disabled decision sink, report and telemetry stream are
@@ -67,7 +69,13 @@ fn disabled_recording_is_byte_identical() {
     let mut s = scheme();
     let mut est = LoadMonitor::new();
     let plain = sim
-        .run_faulted_traced(&trace, &plan, &mut s, &mut est, &mut plain_sink)
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut plain_sink),
+            &mut s,
+            &mut est,
+        )
         .unwrap();
 
     let mut null_dec = NullDecisionSink;
@@ -75,13 +83,13 @@ fn disabled_recording_is_byte_identical() {
     let mut s2 = scheme();
     let mut est2 = LoadMonitor::new();
     let with_null = sim
-        .run_faulted_traced_decisions(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut dec_sink)
+                .decisions(&mut null_dec),
             &mut s2,
             &mut est2,
-            &mut dec_sink,
-            &mut null_dec,
         )
         .unwrap();
 
@@ -108,19 +116,20 @@ fn recording_emits_coherent_records_without_perturbing_the_run() {
 
     let mut s = scheme();
     let mut est = LoadMonitor::new();
-    let plain = sim.run_faulted(&trace, &plan, &mut s, &mut est).unwrap();
+    let plain = sim
+        .execute(RunSpec::trace(&trace).faults(&plan), &mut s, &mut est)
+        .unwrap();
 
     let mut recorder = VecDecisionSink::new();
     let mut s2 = scheme();
     let mut est2 = LoadMonitor::new();
     let recorded = sim
-        .run_faulted_traced_decisions(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .decisions(&mut recorder),
             &mut s2,
             &mut est2,
-            &mut NullSink,
-            &mut recorder,
         )
         .unwrap();
 
@@ -177,13 +186,13 @@ fn replaying_the_chosen_action_reproduces_the_run() {
     let mut s = scheme();
     let mut est = LoadMonitor::new();
     let factual = sim
-        .run_faulted_traced_decisions(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut factual_sink)
+                .decisions(&mut recorder),
             &mut s,
             &mut est,
-            &mut factual_sink,
-            &mut recorder,
         )
         .unwrap();
 
@@ -210,13 +219,13 @@ fn replaying_the_chosen_action_reproduces_the_run() {
         let mut s2 = scheme();
         let mut est2 = LoadMonitor::new();
         let replayed = sim
-            .replay_counterfactual(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut replay_sink)
+                    .force(ForcedDecision { k: rec.k, action }, 0),
                 &mut s2,
                 &mut est2,
-                &mut replay_sink,
-                ForcedDecision { k: rec.k, action },
             )
             .unwrap();
         assert_eq!(
@@ -239,13 +248,12 @@ fn forcing_an_alternative_yields_a_valid_run() {
     let mut s = scheme();
     let mut est = LoadMonitor::new();
     let factual = sim
-        .run_faulted_traced_decisions(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .decisions(&mut recorder),
             &mut s,
             &mut est,
-            &mut NullSink,
-            &mut recorder,
         )
         .unwrap();
 
@@ -262,19 +270,19 @@ fn forcing_an_alternative_yields_a_valid_run() {
     let mut s2 = scheme();
     let mut est2 = LoadMonitor::new();
     let cf = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).force(
+                ForcedDecision {
+                    k: rec.k,
+                    action: Selection::Serve {
+                        model: alt_model as usize,
+                        batch,
+                    },
+                },
+                0,
+            ),
             &mut s2,
             &mut est2,
-            &mut NullSink,
-            ForcedDecision {
-                k: rec.k,
-                action: Selection::Serve {
-                    model: alt_model as usize,
-                    batch,
-                },
-            },
         )
         .unwrap();
     assert_eq!(cf.total_arrivals, factual.total_arrivals);
@@ -289,16 +297,16 @@ fn forcing_an_unreached_decision_errors() {
     let mut s = scheme();
     let mut est = LoadMonitor::new();
     let err = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).force(
+                ForcedDecision {
+                    k: u64::MAX,
+                    action: Selection::Idle,
+                },
+                0,
+            ),
             &mut s,
             &mut est,
-            &mut NullSink,
-            ForcedDecision {
-                k: u64::MAX,
-                action: Selection::Idle,
-            },
         )
         .unwrap_err();
     assert!(
@@ -314,23 +322,116 @@ fn forcing_an_unknown_model_errors() {
     let mut s = scheme();
     let mut est = LoadMonitor::new();
     let err = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).force(
+                ForcedDecision {
+                    k: 0,
+                    action: Selection::Serve {
+                        model: 10_000,
+                        batch: 1,
+                    },
+                },
+                0,
+            ),
             &mut s,
             &mut est,
-            &mut NullSink,
-            ForcedDecision {
-                k: 0,
-                action: Selection::Serve {
-                    model: 10_000,
-                    batch: 1,
-                },
-            },
         )
         .unwrap_err();
     assert!(
         format!("{err}").contains("out of range"),
+        "unexpected error: {err}"
+    );
+}
+
+/// Branching from a checkpoint: forcing decision `k` on a run resumed
+/// from a mid-run snapshot of a faulted run — with `k_offset` the
+/// factual decisions made before the snapshot — reproduces forcing the
+/// same `k` from time zero byte for byte, and a branch point before
+/// the snapshot is refused.
+#[test]
+fn forcing_from_a_checkpoint_matches_forcing_from_time_zero() {
+    let (config, trace, plan) = scenario_parts();
+    let sim = Simulation::new(
+        profile(),
+        config.with_checkpoints(CheckpointPolicy::every_events(200)),
+    )
+    .unwrap();
+
+    let mut decisions = VecDecisionSink::new();
+    let mut snapshots = MemoryRecorder::new();
+    let spec = RunSpec::trace(&trace)
+        .faults(&plan)
+        .decisions(&mut decisions)
+        .checkpoints(&mut snapshots);
+    sim.execute(spec, &mut scheme(), &mut LoadMonitor::new())
+        .unwrap();
+    assert!(
+        snapshots.snapshots.len() >= 2,
+        "fixture must checkpoint mid-run"
+    );
+    let snap = &snapshots.snapshots[snapshots.snapshots.len() / 2];
+    let records = decisions.records();
+    let k_offset = records
+        .iter()
+        .filter(|r| r.event < snap.meta.events_done)
+        .count() as u64;
+    assert!(k_offset > 0, "snapshot must follow some decisions");
+
+    // The first selection-site Serve past the snapshot, forced to the
+    // other model so the branch really diverges.
+    let rec = records
+        .iter()
+        .find(|r| r.k >= k_offset && matches!(r.chosen, ChosenAction::Serve { .. }))
+        .expect("a dispatch follows the snapshot");
+    let ChosenAction::Serve { model, batch } = rec.chosen else {
+        unreachable!()
+    };
+    let forced = ForcedDecision {
+        k: rec.k,
+        action: Selection::Serve {
+            model: usize::from(model == 0),
+            batch,
+        },
+    };
+
+    let from_zero = sim
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).force(forced, 0),
+            &mut scheme(),
+            &mut LoadMonitor::new(),
+        )
+        .unwrap();
+    let from_snapshot = sim
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .resume_from(snap)
+                .force(forced, k_offset),
+            &mut scheme(),
+            &mut LoadMonitor::new(),
+        )
+        .unwrap();
+    assert_eq!(
+        serde_json::to_string(&from_zero).unwrap(),
+        serde_json::to_string(&from_snapshot).unwrap()
+    );
+
+    let before_snapshot = ForcedDecision {
+        k: k_offset - 1,
+        ..forced
+    };
+    let err = sim
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .resume_from(snap)
+                .force(before_snapshot, k_offset),
+            &mut scheme(),
+            &mut LoadMonitor::new(),
+        )
+        .unwrap_err();
+    assert!(
+        format!("{err}").contains("precedes the snapshot"),
         "unexpected error: {err}"
     );
 }

@@ -6,7 +6,8 @@
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    AutoscalePolicy, FastestFixed, FaultPlan, HealthPolicy, Routing, Simulation, SimulationConfig,
+    AutoscalePolicy, FastestFixed, FaultPlan, HealthPolicy, Routing, RunSpec, Simulation,
+    SimulationConfig,
 };
 use ramsis_telemetry::{conservation, Event, VecSink};
 use ramsis_workload::{LoadMonitor, Trace, TraceKind};
@@ -40,7 +41,11 @@ fn run_plan(
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
     let report = sim
-        .run_faulted_traced(trace, plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(
+            RunSpec::trace(trace).faults(plan).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
         .expect("plan validates");
     (report, sink.into_events())
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
     AutoscalePolicy, CheckpointPolicy, EngineSnapshot, FastestFixed, FaultPlan, MemoryRecorder,
-    ResiliencePolicy, Routing, Simulation, SimulationConfig,
+    ResiliencePolicy, Routing, RunSpec, Simulation, SimulationConfig,
 };
 use ramsis_telemetry::VecSink;
 use ramsis_workload::{LoadMonitor, Trace};
@@ -80,17 +80,13 @@ proptest! {
 
         let mut rec = MemoryRecorder::new();
         let mut full_sink = VecSink::new();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(&mut full_sink)
+            .checkpoints(&mut rec);
         let full = sim
-            .run_durable(
-                &trace,
-                &plan,
-                &mut FastestFixed::new(fastest, routing),
-                &mut LoadMonitor::new(),
-                &mut full_sink,
-                &mut rec,
-            )
-            .unwrap()
-            .expect("no stop requested");
+            .execute(spec, &mut FastestFixed::new(fastest, routing), &mut LoadMonitor::new())
+            .unwrap();
         let full_json = serde_json::to_string(&full).unwrap();
         let full_events = full_sink.into_events();
 
@@ -108,15 +104,12 @@ proptest! {
         if !rec.snapshots.is_empty() {
             let snap = &rec.snapshots[kill_ix % rec.snapshots.len()];
             let mut sink = VecSink::new();
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sink)
+                .resume_from(snap);
             let resumed = sim
-                .resume(
-                    &trace,
-                    &plan,
-                    &mut FastestFixed::new(fastest, routing),
-                    &mut LoadMonitor::new(),
-                    &mut sink,
-                    snap,
-                )
+                .execute(spec, &mut FastestFixed::new(fastest, routing), &mut LoadMonitor::new())
                 .unwrap();
             prop_assert_eq!(&serde_json::to_string(&resumed).unwrap(), &full_json);
             let suffix = &full_events[snap.meta.events_emitted as usize..];
@@ -150,16 +143,15 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
     let mut rec = MemoryRecorder::new();
     let mut full_sink = VecSink::new();
     let full = sim
-        .run_durable(
-            &trace,
-            &plan,
+        .execute(
+            RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut full_sink)
+                .checkpoints(&mut rec),
             &mut FastestFixed::new(fastest, Routing::PerWorkerShortestQueue),
             &mut LoadMonitor::new(),
-            &mut full_sink,
-            &mut rec,
         )
-        .unwrap()
-        .expect("no stop requested");
+        .unwrap();
     let full_json = serde_json::to_string(&full).unwrap();
     let full_events = full_sink.into_events();
     assert!(
@@ -171,13 +163,13 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
     for snap in &rec.snapshots {
         let mut sink = VecSink::new();
         let resumed = sim
-            .resume(
-                &trace,
-                &plan,
+            .execute(
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut sink)
+                    .resume_from(snap),
                 &mut FastestFixed::new(fastest, Routing::PerWorkerShortestQueue),
                 &mut LoadMonitor::new(),
-                &mut sink,
-                snap,
             )
             .unwrap();
         assert_eq!(

@@ -57,7 +57,13 @@ fn main() {
         // Bursty traffic (same mean rate, CV = 2 inter-arrivals).
         let mut scheme = RamsisScheme::new(set);
         let mut monitor = OracleMonitor::new(trace.clone());
-        let r_bursty = sim.run_arrivals(&bursty_arrivals, &mut scheme, &mut monitor);
+        let r_bursty = sim
+            .execute(
+                RunSpec::arrivals(&bursty_arrivals),
+                &mut scheme,
+                &mut monitor,
+            )
+            .expect("an unfaulted run has nothing to refuse");
         println!(
             "{policy_label:<14} on Poisson traffic: acc {:.2}% viol {:.4}% | \
              on bursty traffic: acc {:.2}% viol {:.4}%",

@@ -81,7 +81,9 @@ fn main() {
         )
         .expect("valid simulation config");
         let mut monitor = LoadMonitor::new();
-        let report = sim.run_arrivals(&arrivals, scheme, &mut monitor);
+        let report = sim
+            .execute(RunSpec::arrivals(&arrivals), scheme, &mut monitor)
+            .expect("an unfaulted run has nothing to refuse");
         println!(
             "{:>16}: miss-or-loss {:.2}%, violations {:.2}%, accuracy {:.2}%",
             scheme.name(),

@@ -59,7 +59,7 @@ fn main() {
         .expect("valid simulation config");
         let mut monitor = LoadMonitor::new();
         let report = sim
-            .run_faulted(&trace, &plan, scheme, &mut monitor)
+            .execute(RunSpec::trace(&trace).faults(&plan), scheme, &mut monitor)
             .expect("canonical plan validates");
         println!(
             "{:>18}: miss-or-loss {:.2}%, violations inside fault windows \

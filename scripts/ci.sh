@@ -21,6 +21,12 @@ stage "cargo clippy (warnings are errors)" \
 stage "cargo doc (warnings are errors)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 stage "cargo test" cargo test --workspace -q
+# The standalone benchmark package (its own workspace, path deps on
+# crates/*) builds and passes its tests, including the byte-identity of
+# its wrapped runs: an engine API change that breaks it fails here, not
+# only when the benchmark itself runs.
+stage "perfbench test" \
+    cargo test --offline --release --manifest-path perfbench/Cargo.toml
 # Randomized resilience smoke: 25 seeded chaos runs, invariants checked
 # (determinism, conservation, counter agreement, hedge + admission
 # bounds, scale-event accounting, autoscaler-off bit-identity). The

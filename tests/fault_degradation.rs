@@ -16,7 +16,7 @@ use std::time::Duration;
 use ramsis_core::{DegradablePolicySet, Discretization, FallbackPolicy, PolicyConfig, PolicySet};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, ServingScheme, Simulation,
+    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, RunSpec, ServingScheme, Simulation,
     SimulationConfig, SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
@@ -63,7 +63,7 @@ fn run(scheme: &mut dyn ServingScheme, policy: CrashPolicy) -> SimulationReport 
     )
     .expect("valid config");
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted(&trace, &plan, scheme, &mut monitor)
+    sim.execute(RunSpec::trace(&trace).faults(&plan), scheme, &mut monitor)
         .expect("canonical plan validates")
 }
 
@@ -174,7 +174,11 @@ fn fallback_keeps_serving_below_the_presolved_floor() {
     let mut scheme = degrading_scheme();
     let mut monitor = LoadMonitor::new();
     let report = sim
-        .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+        .execute(
+            RunSpec::trace(&trace).faults(&plan),
+            &mut scheme,
+            &mut monitor,
+        )
         .expect("plan validates");
     assert_eq!(report.served, report.total_arrivals);
     assert_eq!(report.dropped, 0);

@@ -1,12 +1,15 @@
-//! Profiling contract through the facade: an attached-but-disabled
-//! profiler leaves the report and the event stream byte-identical to
-//! the unprofiled engine, an enabled profiler observes without
-//! perturbing the run, and the span reconstructor's critical path
-//! conserves every completed query's measured response time exactly.
+//! Observer contract through the facade: every combination of a
+//! profiler (absent, disabled, enabled), a decision sink, and a
+//! checkpoint recorder leaves the report and the event stream
+//! byte-identical to the bare run, and the span reconstructor's
+//! critical path conserves every completed query's measured response
+//! time exactly.
 
 use ramsis::prelude::*;
-use ramsis::sim::{FastestFixed, FaultPlan, ResiliencePolicy, Routing};
-use ramsis::telemetry::{critical_path, reconstruct_spans, JsonlSink, Profiler};
+use ramsis::sim::{
+    CheckpointPolicy, FastestFixed, FaultPlan, MemoryRecorder, ResiliencePolicy, Routing,
+};
+use ramsis::telemetry::{critical_path, reconstruct_spans, JsonlSink, Profiler, VecDecisionSink};
 
 fn profile() -> &'static WorkerProfile {
     use std::sync::OnceLock;
@@ -42,55 +45,97 @@ fn resilience_fixture() -> (SimulationConfig, FaultPlan, Trace) {
     (config, plan, Trace::constant(80.0, 18.0))
 }
 
-/// One traced run; `prof: None` uses the unprofiled entry point, so the
-/// comparison spans two genuinely different code paths.
-fn traced_run(prof: Option<&mut Profiler>) -> (SimulationReport, Vec<u8>) {
+/// How a run's profiler is attached.
+#[derive(Debug, Clone, Copy)]
+enum Prof {
+    Absent,
+    Off,
+    On,
+}
+
+/// One traced run of the fixture with the given observers attached:
+/// a profiler, a decision sink, a checkpoint recorder (which needs
+/// the checkpoint policy enabled in the config). Returns the report,
+/// the JSONL event stream, and the profiler if one was attached.
+fn traced_run(
+    prof: Prof,
+    decisions: bool,
+    recorder: bool,
+) -> (SimulationReport, Vec<u8>, Option<Profiler>) {
     let (config, plan, trace) = resilience_fixture();
+    let config = if recorder {
+        config.with_checkpoints(CheckpointPolicy::every_events(500))
+    } else {
+        config
+    };
     let sim = Simulation::new(profile(), config).expect("valid simulation config");
     let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
     let mut sink = JsonlSink::new(Vec::new());
-    let report = match prof {
-        None => sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
-            .expect("plan validates"),
-        Some(p) => sim
-            .run_faulted_traced_profiled(&trace, &plan, &mut scheme, &mut monitor, &mut sink, p)
-            .expect("plan validates"),
+    let mut profiler = match prof {
+        Prof::Absent => None,
+        Prof::Off => Some(Profiler::off()),
+        Prof::On => Some(Profiler::on()),
     };
-    (report, sink.finish().expect("in-memory sink flushes"))
+    let mut decision_sink = VecDecisionSink::new();
+    let mut rec = MemoryRecorder::new();
+    let mut spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
+    if let Some(p) = profiler.as_mut() {
+        spec = spec.profiler(p);
+    }
+    if decisions {
+        spec = spec.decisions(&mut decision_sink);
+    }
+    if recorder {
+        spec = spec.checkpoints(&mut rec);
+    }
+    let report = sim
+        .execute(spec, &mut scheme, &mut monitor)
+        .expect("plan validates");
+    assert_eq!(decisions, !decision_sink.records().is_empty());
+    assert_eq!(recorder, !rec.snapshots.is_empty());
+    let bytes = sink.finish().expect("in-memory sink flushes");
+    (report, bytes, profiler)
 }
 
 #[test]
 fn profiler_never_perturbs_the_run() {
-    let (base_report, base_bytes) = traced_run(None);
+    let (base_report, base_bytes, _) = traced_run(Prof::Absent, false, false);
     assert!(base_report.resilience.timeouts > 0, "fixture times out");
     assert!(base_report.resilience.hedges_issued > 0, "fixture hedges");
 
-    // Disabled profiler: byte-identical event stream, equal report.
-    let mut off = Profiler::off();
-    let (off_report, off_bytes) = traced_run(Some(&mut off));
-    assert_eq!(base_report, off_report, "off-profiler report diverged");
-    assert_eq!(base_bytes, off_bytes, "off-profiler event stream diverged");
-    assert!(!off.report().enabled);
-
-    // Enabled profiler: observes the run without changing it.
-    let mut on = Profiler::on();
-    let (on_report, on_bytes) = traced_run(Some(&mut on));
-    assert_eq!(base_report, on_report, "on-profiler report diverged");
-    assert_eq!(base_bytes, on_bytes, "on-profiler event stream diverged");
-    let pr = on.report();
-    assert!(pr.enabled && pr.events_processed > 0 && pr.wall_ns > 0);
-    assert!(!pr.phases.is_empty(), "phase timings were collected");
-    assert!(pr.counter("dispatches") > 0);
-    assert_eq!(pr.counter("heap_pushes"), pr.counter("heap_pops"));
-    assert!(pr.counter("timeouts_fired") > 0);
-    assert!(pr.counter("hedges_issued") > 0);
+    // Every observer combination — profiler absent/off/on, decision
+    // sink, checkpoint recorder — leaves the report equal and the
+    // event stream byte-identical to the bare run.
+    for prof in [Prof::Absent, Prof::Off, Prof::On] {
+        for decisions in [false, true] {
+            for recorder in [false, true] {
+                let (report, bytes, profiler) = traced_run(prof, decisions, recorder);
+                let case = format!("{prof:?} profiler, decisions {decisions}, recorder {recorder}");
+                assert_eq!(base_report, report, "report diverged: {case}");
+                assert_eq!(base_bytes, bytes, "event stream diverged: {case}");
+                match prof {
+                    Prof::Absent => assert!(profiler.is_none()),
+                    Prof::Off => assert!(!profiler.expect("attached").report().enabled),
+                    Prof::On => {
+                        // Enabled profiler: observes without changing.
+                        let pr = profiler.expect("attached").report();
+                        assert!(pr.enabled && pr.events_processed > 0 && pr.wall_ns > 0);
+                        assert!(!pr.phases.is_empty(), "phase timings were collected");
+                        assert!(pr.counter("dispatches") > 0);
+                        assert_eq!(pr.counter("heap_pushes"), pr.counter("heap_pops"));
+                        assert!(pr.counter("timeouts_fired") > 0);
+                        assert!(pr.counter("hedges_issued") > 0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn critical_path_conserves_measured_response_times() {
-    let (report, bytes) = traced_run(None);
+    let (report, bytes, _) = traced_run(Prof::Absent, false, false);
     let text = String::from_utf8(bytes).unwrap();
     let parsed = ramsis::telemetry::parse_jsonl(&text).expect("clean log parses strictly");
 

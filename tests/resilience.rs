@@ -32,7 +32,11 @@ fn traced_run(
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
     let report = sim
-        .run_faulted_traced(&trace, plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(
+            RunSpec::trace(&trace).faults(plan).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
         .expect("plan validates");
     (report, sink.into_events())
 }

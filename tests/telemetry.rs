@@ -36,7 +36,13 @@ fn traced_jf_run(seed: u64) -> (SimulationReport, Vec<Event>) {
     let mut scheme = JellyfishPlus::new(profile(), 8);
     let mut monitor = OracleMonitor::new(trace.clone());
     let mut sink = VecSink::new();
-    let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+    let report = sim
+        .execute(
+            RunSpec::trace(&trace).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
+        .expect("an unfaulted run has nothing to refuse");
     (report, sink.into_events())
 }
 
@@ -56,7 +62,13 @@ fn traced_shedding_run() -> (SimulationReport, Vec<Event>) {
     let mut scheme = RamsisScheme::new(set);
     let mut monitor = OracleMonitor::new(trace.clone());
     let mut sink = VecSink::new();
-    let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+    let report = sim
+        .execute(
+            RunSpec::trace(&trace).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
+        .expect("an unfaulted run has nothing to refuse");
     (report, sink.into_events())
 }
 
@@ -200,7 +212,11 @@ fn traced_resilient_run(seed: u64) -> (SimulationReport, Vec<Event>) {
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
         .expect("plan validates");
     (report, sink.into_events())
 }
@@ -296,7 +312,13 @@ fn empty_run_report_and_trace_are_empty() {
     let mut scheme = JellyfishPlus::new(profile(), 2);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
-    let report = sim.run_arrivals_traced(&[], &mut scheme, &mut monitor, &mut sink);
+    let report = sim
+        .execute(
+            RunSpec::arrivals(&[]).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
+        .expect("an unfaulted run has nothing to refuse");
     assert_eq!(report.served, 0);
     assert_eq!(report.mean_response_s, 0.0);
     assert_eq!(report.p50_response_s, 0.0);
@@ -335,7 +357,11 @@ fn traced_resilient_sampled(seed: u64, rate: f64) -> (SimulationReport, Vec<Even
     let policy = SamplePolicy::new(rate, seed).expect("valid sampling rate");
     let mut sink = SamplingSink::new(VecSink::new(), policy);
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(
+            RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+            &mut scheme,
+            &mut monitor,
+        )
         .expect("plan validates");
     let withheld = sink.sampled_out_events();
     (report, sink.finish().into_events(), withheld)
