@@ -2,7 +2,7 @@
 //! ModelSwitching-table caching, and single-run execution.
 
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -79,6 +79,18 @@ pub fn ramsis_policy_set(
     loads: &[f64],
     config: &PolicyConfig,
 ) -> PolicySet {
+    ramsis_policy_set_timed(out_dir, profile, loads, config).0
+}
+
+/// [`ramsis_policy_set`] plus the wall-clock seconds of the
+/// `PolicySet::generate_poisson` call, or `None` when the set came from
+/// the on-disk cache.
+pub fn ramsis_policy_set_timed(
+    out_dir: &Path,
+    profile: &WorkerProfile,
+    loads: &[f64],
+    config: &PolicyConfig,
+) -> (PolicySet, Option<f64>) {
     let d = match config.discretization {
         Discretization::FixedLength { d } => format!("fld{d}"),
         Discretization::ModelBased => "md".to_string(),
@@ -113,18 +125,20 @@ pub fn ramsis_policy_set(
     let cache = out_dir.join("policy_gen").join(format!("{key}.json"));
     if let Ok(text) = std::fs::read_to_string(&cache) {
         if let Ok(set) = serde_json::from_str::<PolicySet>(&text) {
-            return set;
+            return (set, None);
         }
     }
+    let started = Instant::now();
     let set = PolicySet::generate_poisson(profile, loads, config)
         .expect("policy generation over valid loads");
+    let wall = started.elapsed().as_secs_f64();
     if let Some(parent) = cache.parent() {
         std::fs::create_dir_all(parent).ok();
     }
     if let Ok(json) = serde_json::to_string(&set) {
         std::fs::write(&cache, json).ok();
     }
-    set
+    (set, Some(wall))
 }
 
 /// Builds (or loads from the on-disk cache) a ModelSwitching selector

@@ -7,9 +7,7 @@
 //! expected accuracies differ by less than 1% (§6's rule). Each policy
 //! lands at `policy_gen/RAMSIS_WORKERS_SLO/LOAD.json`.
 
-use ramsis_core::{
-    generate_policy, Discretization, PoissonArrivals, PolicyConfig, PolicySet, WorkerPolicy,
-};
+use ramsis_core::{Discretization, PolicyConfig, PolicySet, WorkerPolicy};
 
 use crate::cli_args::CommonArgs;
 use crate::commands::{build_profile, policy_dir, write_json_file};
@@ -50,14 +48,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
             Some(l) => vec![l],
             None => (1..=20).map(|i| 200.0 * i as f64).collect(),
         };
-        let mut out = Vec::new();
-        for load in loads {
-            out.push(
-                generate_policy(&profile, &PoissonArrivals::per_second(load), &config)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        out
+        PolicySet::generate_poisson(&profile, &loads, &config)
+            .map_err(|e| e.to_string())?
+            .policies()
+            .to_vec()
     };
 
     for policy in &policies {

@@ -33,6 +33,7 @@ pub mod generator;
 pub mod guarantees;
 pub mod policy;
 pub mod policy_set;
+mod pool;
 pub mod regime;
 pub mod sqf;
 pub mod state;

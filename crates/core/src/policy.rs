@@ -53,6 +53,11 @@ pub struct WorkerPolicy {
     /// Number of value/policy-iteration sweeps the solver used.
     pub solve_iterations: usize,
     /// Wall-clock policy-generation time in seconds.
+    ///
+    /// A policy set solves its policies in parallel, so within one set
+    /// these walls overlap: their sum is the summed per-policy solve
+    /// time, not the set's generation time (time the set's
+    /// `generate_*` call for that).
     pub generation_seconds: f64,
     grid: TimeGrid,
     space: StateSpace,

@@ -18,6 +18,7 @@ use crate::config::PolicyConfig;
 use crate::error::CoreError;
 use crate::generator::generate_policy;
 use crate::policy::WorkerPolicy;
+use crate::pool;
 
 /// A set of policies specialized per query load, sorted ascending.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -40,28 +41,9 @@ impl PolicySet {
         loads_qps: &[f64],
         config: &PolicyConfig,
     ) -> Result<Self, CoreError> {
-        if loads_qps.is_empty() {
-            return Err(CoreError::InvalidConfig("load list is empty".into()));
-        }
-        let mut policies = Vec::with_capacity(loads_qps.len());
-        for &qps in loads_qps {
-            if !(qps > 0.0 && qps.is_finite()) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "loads must be positive, got {qps}"
-                )));
-            }
-            policies.push(generate_policy(
-                profile,
-                &PoissonProcess::per_second(qps),
-                config,
-            )?);
-        }
-        policies.sort_by(|a, b| {
-            a.design_load_qps
-                .partial_cmp(&b.design_load_qps)
-                .expect("loads are finite")
-        });
-        Ok(Self { policies })
+        Self::generate_per_load(loads_qps, |qps| {
+            generate_policy(profile, &PoissonProcess::per_second(qps), config)
+        })
     }
 
     /// Generates one policy per load in `loads_qps` against the
@@ -89,25 +71,35 @@ impl PolicySet {
                 "negative-binomial dispersion must be finite and > 1, got {dispersion}"
             )));
         }
-        let mut policies = Vec::with_capacity(loads_qps.len());
-        for &qps in loads_qps {
+        Self::generate_per_load(loads_qps, |qps| {
+            generate_policy(
+                profile,
+                &NegativeBinomialProcess::new(qps, dispersion),
+                config,
+            )
+        })
+    }
+
+    /// Solves one policy per load on the solve pool (see `pool`), in
+    /// parallel across loads. Each load is checked where it is solved,
+    /// so the error returned is the one a sequential loop would stop
+    /// at: the first invalid load or failed solve in list order.
+    fn generate_per_load(
+        loads_qps: &[f64],
+        solve: impl Fn(f64) -> Result<WorkerPolicy, CoreError> + Sync,
+    ) -> Result<Self, CoreError> {
+        if loads_qps.is_empty() {
+            return Err(CoreError::InvalidConfig("load list is empty".into()));
+        }
+        let policies = pool::solve_all(loads_qps, |&qps| {
             if !(qps > 0.0 && qps.is_finite()) {
                 return Err(CoreError::InvalidConfig(format!(
                     "loads must be positive, got {qps}"
                 )));
             }
-            policies.push(generate_policy(
-                profile,
-                &NegativeBinomialProcess::new(qps, dispersion),
-                config,
-            )?);
-        }
-        policies.sort_by(|a, b| {
-            a.design_load_qps
-                .partial_cmp(&b.design_load_qps)
-                .expect("loads are finite")
-        });
-        Ok(Self { policies })
+            solve(qps)
+        })?;
+        Self::from_policies(policies)
     }
 
     /// Generates an adaptively refined Poisson policy set over
@@ -317,7 +309,7 @@ impl DegradablePolicySet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::discretize::Discretization;
     use ramsis_profiles::{ModelCatalog, ProfilerConfig};
@@ -438,6 +430,73 @@ mod tests {
         let cfg = quick_config();
         assert!(DegradablePolicySet::generate_poisson(profile(), &[100.0], &cfg, 0).is_err());
         assert!(DegradablePolicySet::generate_poisson(profile(), &[100.0], &cfg, 5).is_err());
+    }
+
+    /// `set` with every `generation_seconds` (a wall-clock reading)
+    /// zeroed, so two solves compare on content alone.
+    pub(crate) fn without_times(set: &PolicySet) -> PolicySet {
+        let policies = set
+            .policies()
+            .iter()
+            .map(|p| {
+                let mut p = p.clone();
+                p.generation_seconds = 0.0;
+                p
+            })
+            .collect();
+        PolicySet::from_policies(policies).unwrap()
+    }
+
+    #[test]
+    fn pooled_generation_is_independent_of_the_thread_count() {
+        let loads = [240.0, 50.0, 150.0, 800.0, 100.0];
+        let solve = |threads| {
+            pool::tests::with_threads(threads, || {
+                PolicySet::generate_poisson(profile(), &loads, &quick_config()).unwrap()
+            })
+        };
+        let one = without_times(&solve(1));
+        assert_eq!(one, without_times(&solve(4)));
+        assert_eq!(one.loads(), vec![50.0, 100.0, 150.0, 240.0, 800.0]);
+
+        let bursty = |threads| {
+            pool::tests::with_threads(threads, || {
+                PolicySet::generate_negative_binomial(profile(), &loads[..3], 3.0, &quick_config())
+                    .unwrap()
+            })
+        };
+        assert_eq!(without_times(&bursty(1)), without_times(&bursty(4)));
+
+        let degradable = |threads| {
+            pool::tests::with_threads(threads, || {
+                let set = DegradablePolicySet::generate_poisson(
+                    profile(),
+                    &loads[..3],
+                    &quick_config(),
+                    3,
+                )
+                .unwrap();
+                set.worker_counts()
+                    .into_iter()
+                    .map(|k| without_times(set.for_workers(k).unwrap()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(degradable(1), degradable(4));
+    }
+
+    #[test]
+    fn pooled_generation_reports_the_first_bad_load_in_list_order() {
+        for threads in [1, 4] {
+            let err = pool::tests::with_threads(threads, || {
+                PolicySet::generate_poisson(profile(), &[100.0, -1.0, f64::NAN], &quick_config())
+            })
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("got -1"),
+                "{threads} threads reported {err}"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use ramsis_workload::drift::{DispersionClass, RegimeGrid, RegimeKey};
 use crate::config::PolicyConfig;
 use crate::error::CoreError;
 use crate::policy_set::PolicySet;
+use crate::pool;
 
 /// Deadline-aware admission control: when may the scheme shed a query
 /// instead of serving it late?
@@ -92,11 +93,17 @@ impl PolicyLibrary {
         regimes: &[RegimeKey],
     ) -> Result<Self, CoreError> {
         let mut library = Self::empty(grid, bursty_dispersion)?;
+        let mut keys: Vec<RegimeKey> = Vec::with_capacity(regimes.len());
         for &key in regimes {
-            if !library.contains(key) {
-                library.solve(profile, config, key)?;
+            if !keys.contains(&key) {
+                keys.push(key);
             }
         }
+        // One set per key on the solve pool; each key's set has a single
+        // load, so it solves inline on its pool thread.
+        let sets = pool::solve_all(&keys, |&key| library.solve_set(profile, config, key))?;
+        library.entries = keys.into_iter().zip(sets).collect();
+        library.entries.sort_by_key(|&(key, _)| key);
         Ok(library)
     }
 
@@ -174,6 +181,20 @@ impl PolicyLibrary {
         if self.contains(key) {
             return Ok(());
         }
+        let set = self.solve_set(profile, config, key)?;
+        let at = self.entries.partition_point(|&(k, _)| k < key);
+        self.entries.insert(at, (key, set));
+        Ok(())
+    }
+
+    /// The policy set for an in-grid regime, solved without touching the
+    /// library (see [`Self::solve`]).
+    fn solve_set(
+        &self,
+        profile: &WorkerProfile,
+        config: &PolicyConfig,
+        key: RegimeKey,
+    ) -> Result<PolicySet, CoreError> {
         let Some(design) = self.grid.design_rate_qps(key.rate_bin) else {
             return Err(CoreError::InvalidConfig(format!(
                 "regime bin {} is outside the {}-bin grid",
@@ -181,18 +202,15 @@ impl PolicyLibrary {
                 self.grid.n_bins()
             )));
         };
-        let set = match key.dispersion {
-            DispersionClass::Poisson => PolicySet::generate_poisson(profile, &[design], config)?,
+        match key.dispersion {
+            DispersionClass::Poisson => PolicySet::generate_poisson(profile, &[design], config),
             DispersionClass::Bursty => PolicySet::generate_negative_binomial(
                 profile,
                 &[design],
                 self.bursty_dispersion,
                 config,
-            )?,
-        };
-        let at = self.entries.partition_point(|&(k, _)| k < key);
-        self.entries.insert(at, (key, set));
-        Ok(())
+            ),
+        }
     }
 }
 
@@ -361,6 +379,59 @@ mod tests {
             assert_eq!(set.loads(), vec![lib.grid().design_rate_qps(bin).unwrap()]);
         }
         assert!(!lib.contains(RegimeKey::new(0, DispersionClass::Bursty)));
+    }
+
+    #[test]
+    fn pooled_library_is_independent_of_the_thread_count() {
+        use crate::policy_set::tests::without_times;
+        let keys = [
+            RegimeKey::new(1, DispersionClass::Bursty),
+            RegimeKey::new(0, DispersionClass::Poisson),
+            RegimeKey::new(1, DispersionClass::Poisson),
+            RegimeKey::new(0, DispersionClass::Poisson),
+        ];
+        let solve = |threads| {
+            crate::pool::tests::with_threads(threads, || {
+                let mut lib =
+                    PolicyLibrary::generate(profile(), grid(), 4.0, &quick_config(), &keys)
+                        .unwrap();
+                for (_, set) in &mut lib.entries {
+                    *set = without_times(set);
+                }
+                lib
+            })
+        };
+        let one = solve(1);
+        assert_eq!(one.len(), 3, "duplicate keys solve once");
+        assert_eq!(one, solve(4));
+        // The sequential, one-key-at-a-time path agrees.
+        let mut lazy = PolicyLibrary::empty(grid(), 4.0).unwrap();
+        for key in keys {
+            lazy.solve(profile(), &quick_config(), key).unwrap();
+        }
+        for (_, set) in &mut lazy.entries {
+            *set = without_times(set);
+        }
+        assert_eq!(lazy, one);
+    }
+
+    #[test]
+    fn pooled_library_reports_the_first_bad_key_in_list_order() {
+        let keys = [
+            RegimeKey::new(0, DispersionClass::Poisson),
+            RegimeKey::new(5, DispersionClass::Poisson),
+            RegimeKey::new(9, DispersionClass::Bursty),
+        ];
+        for threads in [1, 4] {
+            let err = crate::pool::tests::with_threads(threads, || {
+                PolicyLibrary::generate(profile(), grid(), 4.0, &quick_config(), &keys)
+            })
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("bin 5"),
+                "{threads} threads: {err}"
+            );
+        }
     }
 
     #[test]

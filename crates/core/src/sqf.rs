@@ -75,12 +75,10 @@ pub struct SqfTransitionBuilder<'a> {
     profile: &'a WorkerProfile,
     grid: &'a TimeGrid,
     space: &'a StateSpace,
-    /// Arrival process for short queues (`n ≤ 2`).
-    low_process: PoissonProcess,
-    /// Arrival process for long queues (`n ≥ 3`).
-    high_process: PoissonProcess,
-    low_cache: TableCache,
-    high_cache: TableCache,
+    /// Tables of the arrival process for short queues (`n ≤ 2`).
+    low: TableCache<PoissonProcess>,
+    /// Tables of the arrival process for long queues (`n ≥ 3`).
+    high: TableCache<PoissonProcess>,
     slo: f64,
     prune_eps: f64,
 }
@@ -106,10 +104,8 @@ impl<'a> SqfTransitionBuilder<'a> {
             profile,
             grid,
             space,
-            low_process: PoissonProcess::per_second(low),
-            high_process: PoissonProcess::per_second(high),
-            low_cache: TableCache::new(tail_eps),
-            high_cache: TableCache::new(tail_eps),
+            low: TableCache::new(PoissonProcess::per_second(low), tail_eps),
+            high: TableCache::new(PoissonProcess::per_second(high), tail_eps),
             slo,
             prune_eps,
         }
@@ -117,18 +113,15 @@ impl<'a> SqfTransitionBuilder<'a> {
 
     /// The conditional arrival rate used for queue length `n`.
     pub fn rate_for(&self, n: u32) -> f64 {
-        if n <= 2 {
-            self.low_process.rate()
-        } else {
-            self.high_process.rate()
-        }
+        self.tables_for(n).process().rate()
     }
 
-    fn process_and_cache(&self, n: u32) -> (&PoissonProcess, &TableCache) {
+    /// The table cache of queue length `n`'s arrival process.
+    fn tables_for(&self, n: u32) -> &TableCache<PoissonProcess> {
         if n <= 2 {
-            (&self.low_process, &self.low_cache)
+            &self.low
         } else {
-            (&self.high_process, &self.high_cache)
+            &self.high
         }
     }
 
@@ -165,9 +158,9 @@ impl<'a> SqfTransitionBuilder<'a> {
     }
 
     fn row_serve(&self, n: u32, slack: usize, model: u32, batch: u32) -> Vec<(usize, f64)> {
-        let (process, cache) = self.process_and_cache(n);
+        let cache = self.tables_for(n);
         let l = self.profile.latency_extrapolated(model as usize, batch);
-        let table_l = cache.table(process, l);
+        let table_l = cache.table(l);
         let nw = self.space.max_queue();
         let leftover = n - batch;
         let mut row = Vec::new();
@@ -205,9 +198,9 @@ impl<'a> SqfTransitionBuilder<'a> {
                 if hi_edge <= lo_edge + 1e-15 {
                     continue;
                 }
-                let table_b = cache.table(process, lo_edge);
-                let table_c = cache.table(process, hi_edge - lo_edge);
-                let table_d = cache.table(process, l - hi_edge);
+                let table_b = cache.window_table(n, lo_edge);
+                let table_c = cache.window_table(n, hi_edge - lo_edge);
+                let table_d = cache.window_table(n, l - hi_edge);
                 let pb0 = table_b.pmf(0);
                 if pb0 == 0.0 {
                     continue;

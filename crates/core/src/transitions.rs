@@ -37,8 +37,8 @@
 //!    arrivals whose deadline is already blown (negative slack) land in
 //!    the exhausted-slack bin rather than leaking probability mass.
 //!    (This realizes the paper's "we set T_B = 0" clamping rule.)
-//! 4. Poisson tables are memoized per interval length; the Full-state
-//!    mass is the complement (Eq. 3).
+//! 4. Count tables are memoized per interval length ([`TableCache`]);
+//!    the Full-state mass is the complement (Eq. 3).
 //!
 //! Variable batching (`b < n`, §4.3.2) is not derived in the paper
 //! ("follows similar reasoning"); we model it as: the earliest remaining
@@ -57,27 +57,53 @@ use crate::action::Action;
 use crate::discretize::TimeGrid;
 use crate::state::{State, StateSpace};
 
-/// Memoized truncated count tables keyed by interval length.
+/// Memoized truncated count tables of one arrival process, keyed by
+/// interval length.
 ///
-/// One cache instance must only ever be fed a single arrival process —
-/// the cache key is the interval length alone.
-#[derive(Default)]
-pub struct TableCache {
+/// The cache owns its process, so every table it returns belongs to
+/// that process. It keeps two maps with different lifetimes:
+///
+/// - [`Self::table`]: tables reused across a whole solve — the
+///   interval-A lengths `SLO − T_j` and the service latencies `l`.
+/// - [`Self::window_table`]: tables for the intervals B, C and D of a
+///   full-batch row, whose lengths derive from `l_w(m, n)`. States are
+///   stored `n`-major and a full batch serves `b = n`, so those tables
+///   are reused only while one queue length's rows are built; the map
+///   is dropped whenever `n` changes, which bounds the cache's memory
+///   by one queue length's windows instead of the whole solve's.
+///
+/// Dropping a table never changes a row: a rebuilt table is
+/// bit-identical to the one it replaces.
+pub struct TableCache<P> {
+    process: P,
     tail_eps: f64,
-    tables: RefCell<HashMap<u64, Rc<CountTable>>>,
+    tables: RefCell<Tables>,
+    /// The queue length the window tables belong to, and the tables.
+    windows: RefCell<(Option<u32>, Tables)>,
 }
 
-impl TableCache {
-    /// Creates a cache with the given truncation tolerance.
-    pub fn new(tail_eps: f64) -> Self {
+/// Tables by the bit pattern of their interval length.
+type Tables = HashMap<u64, Rc<CountTable>>;
+
+impl<P: ArrivalProcess> TableCache<P> {
+    /// Creates a cache of `process`'s tables with the given truncation
+    /// tolerance.
+    pub fn new(process: P, tail_eps: f64) -> Self {
         Self {
+            process,
             tail_eps,
             tables: RefCell::new(HashMap::new()),
+            windows: RefCell::new((None, HashMap::new())),
         }
     }
 
-    /// Returns (building from `process` if necessary) the table for
-    /// interval length `t`.
+    /// The arrival process the tables are built from.
+    pub fn process(&self) -> &P {
+        &self.process
+    }
+
+    /// Returns (building if necessary) the solve-wide table for interval
+    /// length `t`.
     ///
     /// The cache key is the exact bit pattern of `t`: the §4.4 interval
     /// lengths must tile the service interval *exactly* or transition
@@ -85,25 +111,42 @@ impl TableCache {
     /// wrong — ~1e-6 of row mass over a 160-window grid). Recurring
     /// interval values are bit-identical because they are derived from
     /// the same grid and latency floats, so the cache still deduplicates.
-    pub fn table(&self, process: &dyn ArrivalProcess, t: f64) -> Rc<CountTable> {
-        debug_assert!(t >= 0.0, "interval must be non-negative, got {t}");
-        let key = t.to_bits();
-        if let Some(hit) = self.tables.borrow().get(&key) {
-            return Rc::clone(hit);
+    pub fn table(&self, t: f64) -> Rc<CountTable> {
+        self.lookup(&mut self.tables.borrow_mut(), t)
+    }
+
+    /// Returns (building if necessary) the table for interval length
+    /// `t` of a full-batch row at queue length `n`, first dropping every
+    /// window table of a different queue length. Keyed as
+    /// [`Self::table`].
+    pub fn window_table(&self, n: u32, t: f64) -> Rc<CountTable> {
+        let mut windows = self.windows.borrow_mut();
+        let (scope, tables) = &mut *windows;
+        if *scope != Some(n) {
+            *scope = Some(n);
+            tables.clear();
         }
-        let table = Rc::new(process.table(t, self.tail_eps));
-        self.tables.borrow_mut().insert(key, Rc::clone(&table));
-        table
+        self.lookup(tables, t)
     }
 
-    /// Number of distinct tables built so far.
+    fn lookup(&self, tables: &mut Tables, t: f64) -> Rc<CountTable> {
+        debug_assert!(t >= 0.0, "interval must be non-negative, got {t}");
+        Rc::clone(
+            tables
+                .entry(t.to_bits())
+                .or_insert_with(|| Rc::new(self.process.table(t, self.tail_eps))),
+        )
+    }
+
+    /// Number of tables held now: the solve-wide ones plus the current
+    /// queue length's windows.
     pub fn len(&self) -> usize {
-        self.tables.borrow().len()
+        self.tables.borrow().len() + self.windows.borrow().1.len()
     }
 
-    /// Whether no table has been built.
+    /// Whether no table is held.
     pub fn is_empty(&self) -> bool {
-        self.tables.borrow().is_empty()
+        self.len() == 0
     }
 }
 
@@ -112,8 +155,7 @@ pub struct TransitionBuilder<'a> {
     profile: &'a WorkerProfile,
     grid: &'a TimeGrid,
     space: &'a StateSpace,
-    process: &'a dyn ArrivalProcess,
-    cache: TableCache,
+    cache: TableCache<&'a dyn ArrivalProcess>,
     /// Number of workers `K` behind the balancer.
     workers: usize,
     slo: f64,
@@ -144,8 +186,7 @@ impl<'a> TransitionBuilder<'a> {
             profile,
             grid,
             space,
-            process,
-            cache: TableCache::new(tail_eps),
+            cache: TableCache::new(process, tail_eps),
             workers,
             slo,
             prune_eps,
@@ -153,7 +194,7 @@ impl<'a> TransitionBuilder<'a> {
     }
 
     /// The memoized table cache (exposed for diagnostics and benches).
-    pub fn cache(&self) -> &TableCache {
+    pub fn cache(&self) -> &TableCache<&'a dyn ArrivalProcess> {
         &self.cache
     }
 
@@ -167,7 +208,7 @@ impl<'a> TransitionBuilder<'a> {
     fn phase_weights(&self, n: u32, slack: usize) -> Vec<f64> {
         let k = self.workers;
         let t_a = (self.slo - self.grid.value(slack)).max(0.0);
-        let table = self.cache.table(self.process, t_a);
+        let table = self.cache.table(t_a);
         let base = (n as u64 - 1) * k as u64;
         let mut w: Vec<f64> = (0..k).map(|r| table.pmf(base + r as u64)).collect();
         let total: f64 = w.iter().sum();
@@ -235,14 +276,19 @@ impl<'a> TransitionBuilder<'a> {
 
     /// Case 2/3 (§4.4.2–4.4.3) with `b = n` (maximal batching or a
     /// variable-batching full batch).
-    // Index-based loops mirror the paper's summation indices (u, v);
-    // iterator adapters would obscure the derivation.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// The W(u), H(v) and per-`n'` loops read the count tables' stored
+    /// windows as slices and visit only terms inside them. Every term
+    /// they skip is exactly `0.0` (a count outside a window has zero
+    /// pmf, and a range mass outside D's window is `total − total` or
+    /// `0 − 0`), every accumulator is non-negative, and each one still
+    /// adds its terms in ascending index order, so a row is bit-identical
+    /// to the term-by-term sum of Eq. 2.
     fn row_full_batch(&self, n: u32, slack: usize, model: u32) -> Vec<(usize, f64)> {
         let k = self.workers;
         let l = self.service_latency(model, n);
         let w = self.phase_weights(n, slack);
-        let table_l = self.cache.table(self.process, l);
+        let table_l = self.cache.table(l);
         let mut row = Vec::new();
         let mut accounted = 0.0;
 
@@ -274,62 +320,92 @@ impl<'a> TransitionBuilder<'a> {
             let t_b = lo_edge;
             let t_c = hi_edge - lo_edge;
             let t_d = l - hi_edge;
-            let table_b = self.cache.table(self.process, t_b);
-            let table_c = self.cache.table(self.process, t_c);
-            let table_d = self.cache.table(self.process, t_d);
-
+            let table_b = self.cache.window_table(n, t_b);
+            let table_c = self.cache.window_table(n, t_c);
+            let table_d = self.cache.window_table(n, t_d);
+            let (b_lo, pmf_b, _) = table_b.window();
+            let (c_lo, pmf_c, _) = table_c.window();
+            let (d_lo, _, cum_d) = table_d.window();
+            let b_hi = table_b.max_count();
             let c_hi = table_c.max_count();
+
             // W(u): weight of needing exactly u more central arrivals
             // for the next worker delivery at the start of interval C.
-            let u_cap = (c_hi + 1).min(k as u64) as usize;
-            let mut big_w = vec![0.0f64; u_cap + 1];
+            // k_B = K − r − u must lie in B's window [b_lo, b_hi], so
+            // u ∈ [K − r − b_hi, K − r − b_lo] ∩ [1, u_cap]; k_B falls
+            // as u rises, so B's pmf is read backwards.
+            let u_cap = (c_hi + 1).min(k as u64);
+            let mut big_w = vec![0.0f64; u_cap as usize + 1];
             for (r, &wr) in w.iter().enumerate() {
                 if wr == 0.0 {
                     continue;
                 }
-                // k_B = K − r − u ≥ 0 ⇔ u ≤ K − r.
-                let u_max_r = (k - r).min(u_cap);
-                for u in 1..=u_max_r {
-                    let kb = (k - r - u) as u64;
-                    let pb = table_b.pmf(kb);
-                    if pb > 0.0 {
-                        big_w[u] += wr * pb;
-                    }
-                }
-            }
-
-            // H(v) = Σ_u W(u) · PF_C(u + v).
-            let v_cap = c_hi as usize;
-            let mut h = vec![0.0f64; v_cap + 1];
-            for u in 1..=u_cap {
-                if big_w[u] == 0.0 {
+                let top = (k - r) as u64;
+                if top <= b_lo {
                     continue;
                 }
-                let wu = big_w[u];
-                for v in 0..=v_cap.saturating_sub(u) {
-                    let pc = table_c.pmf((u + v) as u64);
-                    if pc > 0.0 {
-                        h[v] += wu * pc;
-                    }
+                let u_lo = top.saturating_sub(b_hi).max(1);
+                let u_hi = (top - b_lo).min(u_cap);
+                if u_lo > u_hi {
+                    continue;
+                }
+                let pb = &pmf_b[(top - u_hi - b_lo) as usize..=(top - u_lo - b_lo) as usize];
+                for (wu, &p) in big_w[u_lo as usize..=u_hi as usize]
+                    .iter_mut()
+                    .zip(pb.iter().rev())
+                {
+                    *wu += wr * p;
                 }
             }
 
-            // Per n': fold H against the interval-D range mass.
+            // H(v) = Σ_u W(u) · PF_C(u + v), as one contiguous
+            // multiply-add per u over C's pmf: k_C = u + v runs over
+            // [max(c_lo, u), c_hi].
+            let mut h = vec![0.0f64; c_hi as usize + 1];
+            for (u, &wu) in big_w.iter().enumerate().skip(1) {
+                if wu == 0.0 {
+                    continue;
+                }
+                let kc_lo = c_lo.max(u as u64);
+                if kc_lo > c_hi {
+                    continue;
+                }
+                let pc = &pmf_c[(kc_lo - c_lo) as usize..];
+                for (hv, &p) in h[kc_lo as usize - u..].iter_mut().zip(pc) {
+                    *hv += wu * p;
+                }
+            }
+
+            // Per n': fold H against the interval-D mass on
+            // [(n'−1)K − v, n'K − 1 − v], read from D's cumulative
+            // sums. v only ranges where that mass can be non-zero: the
+            // range's top reaches D's window (v ≤ n'K − 1 − d_lo) and
+            // its bottom has not passed it (v ≥ (n'−1)K − d_hi).
+            let d_last = cum_d.len() - 1;
+            let d_hi = d_lo + d_last as u64;
+            let cdf_d = |x: u64| -> f64 {
+                if x < d_lo {
+                    0.0
+                } else {
+                    cum_d[((x - d_lo) as usize).min(d_last)]
+                }
+            };
             for n_next in 1..=nw {
                 let mut p = 0.0;
-                let lo_base = (n_next as i64 - 1) * k as i64;
-                let hi_base = n_next as i64 * k as i64 - 1;
-                for (v, &hv) in h.iter().enumerate() {
-                    if hv == 0.0 {
-                        continue;
+                let lo_base = u64::from(n_next - 1) * k as u64;
+                let hi_base = u64::from(n_next) * k as u64 - 1;
+                if hi_base >= d_lo {
+                    let v_lo = lo_base.saturating_sub(d_hi) as usize;
+                    let v_hi = ((hi_base - d_lo) as usize).min(h.len() - 1);
+                    if v_lo <= v_hi {
+                        for (v, &hv) in h[v_lo..=v_hi].iter().enumerate() {
+                            let v = (v_lo + v) as u64;
+                            let lo = lo_base.saturating_sub(v);
+                            let upper = cdf_d(hi_base - v);
+                            let lower = if lo == 0 { 0.0 } else { cdf_d(lo - 1) };
+                            p += hv * (upper - lower).max(0.0);
+                        }
                     }
-                    let lo = (lo_base - v as i64).max(0);
-                    let hi = hi_base - v as i64;
-                    if hi < 0 {
-                        // More than n' worker arrivals already in C.
-                        continue;
-                    }
-                    p += hv * table_d.mass_in(lo as u64, hi as u64);
                 }
                 accounted += p;
                 if p > self.prune_eps {
@@ -361,7 +437,7 @@ impl<'a> TransitionBuilder<'a> {
         let k = self.workers;
         let l = self.service_latency(model, batch);
         let w = self.phase_weights(n, slack);
-        let table_l = self.cache.table(self.process, l);
+        let table_l = self.cache.table(l);
         let leftover = n - batch;
         let j_next = self.grid.floor_index(self.grid.value(slack) - l) as u32;
         let nw = self.space.max_queue();
@@ -778,6 +854,171 @@ mod tests {
             "repeat rows must hit the cache"
         );
         assert!(!b.cache().is_empty());
+    }
+
+    #[test]
+    fn table_cache_drops_windows_when_the_queue_length_changes() {
+        let cache = TableCache::new(PoissonProcess::per_second(500.0), 1e-12);
+        let kept = cache.window_table(1, 0.01);
+        let _ = cache.window_table(1, 0.02);
+        let _ = cache.table(0.05);
+        assert_eq!(cache.len(), 3);
+        // A new queue length drops both n = 1 windows, never the
+        // solve-wide table.
+        let _ = cache.window_table(2, 0.01);
+        assert_eq!(cache.len(), 2);
+        // A rebuilt window equals the dropped one.
+        let rebuilt = cache.window_table(1, 0.01);
+        assert_eq!(*rebuilt, *kept);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.process().rate(), 500.0);
+    }
+
+    #[test]
+    fn window_tables_are_scoped_to_one_queue_length() {
+        let f = Fixture::new(2_000.0, 10, 20);
+        let b = f.builder();
+        let fast = profile().fastest_model() as u32;
+        let serve = |n: u32| {
+            b.row(
+                State::Queued {
+                    n,
+                    slack: f.grid.top() as u32,
+                },
+                Action::Serve {
+                    model: fast,
+                    batch: n,
+                },
+            )
+        };
+        let first = serve(4);
+        let held_at_4 = b.cache().len();
+        let _ = serve(9);
+        let held_at_9 = b.cache().len();
+        // Back at n = 4 the windows are rebuilt from scratch: the cache
+        // holds what it held the first time plus n = 9's solve-wide
+        // service-latency table, and the row is identical to the bit.
+        let again = serve(4);
+        assert_eq!(b.cache().len(), held_at_4 + 1);
+        assert!(held_at_9 > 1);
+        let bits = |row: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            row.iter().map(|&(t, p)| (t, p.to_bits())).collect()
+        };
+        assert_eq!(bits(&first), bits(&again));
+    }
+
+    #[test]
+    fn sliced_kernel_matches_term_by_term_eq2() {
+        // A direct, unoptimized evaluation of Eq. 2 through the table
+        // accessors, in the same summation order as the kernel: the
+        // kernel's rows must equal it to the bit.
+        for (qps, workers, d) in [(300.0, 4, 20), (2_500.0, 12, 25), (40.0, 1, 10)] {
+            let f = Fixture::new(qps, workers, d);
+            let b = f.builder();
+            for &model in profile().pareto_models().iter().take(3) {
+                for n in [1u32, 3, 7] {
+                    for slack in [0usize, f.grid.top() / 2, f.grid.top()] {
+                        let row = b.row(
+                            State::Queued {
+                                n,
+                                slack: slack as u32,
+                            },
+                            Action::Serve {
+                                model: model as u32,
+                                batch: n,
+                            },
+                        );
+                        let naive = naive_full_batch(&f, n, slack, model as u32);
+                        assert_eq!(row.len(), naive.len(), "qps={qps} n={n} slack={slack}");
+                        for (&(t, p), &(nt, np)) in row.iter().zip(&naive) {
+                            assert_eq!(t, nt);
+                            assert_eq!(p.to_bits(), np.to_bits(), "qps={qps} n={n} slack={slack}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Eq. 2 term by term through the table accessors, with every
+    /// accumulator in the kernel's summation order: the reference the
+    /// sliced kernel is checked against.
+    fn naive_full_batch(f: &Fixture, n: u32, slack: usize, model: u32) -> Vec<(usize, f64)> {
+        let process: &dyn ArrivalProcess = &f.process;
+        let table = |t: f64| process.table(t, 1e-12);
+        let k = f.workers;
+        let l = profile().latency_extrapolated(model as usize, n);
+        let w = f.builder().phase_weights(n, slack);
+        let table_l = table(l);
+        let mut row = Vec::new();
+        let mut accounted = 0.0;
+        let mut p_empty = 0.0;
+        for (r, &wr) in w.iter().enumerate() {
+            if wr != 0.0 {
+                p_empty += wr * table_l.cdf((k - r - 1) as u64);
+            }
+        }
+        if p_empty > 0.0 {
+            row.push((f.space.index(State::Empty), p_empty));
+        }
+        accounted += p_empty;
+        for j_next in 0..f.grid.top() {
+            let raw_lo = l + f.grid.value(j_next) - SLO;
+            let lo_edge = if j_next == 0 { 0.0 } else { raw_lo.max(0.0) };
+            let hi_edge = (l + f.grid.upper_edge(j_next) - SLO).clamp(0.0, l);
+            if hi_edge <= lo_edge + 1e-15 {
+                continue;
+            }
+            let (tb, tc, td) = (table(lo_edge), table(hi_edge - lo_edge), table(l - hi_edge));
+            let c_hi = tc.max_count();
+            let u_cap = (c_hi + 1).min(k as u64) as usize;
+            let mut big_w = vec![0.0f64; u_cap + 1];
+            for (r, &wr) in w.iter().enumerate() {
+                if wr == 0.0 {
+                    continue;
+                }
+                let terms = (k - r).min(u_cap);
+                for (u, bw) in big_w.iter_mut().enumerate().skip(1).take(terms) {
+                    let pb = tb.pmf((k - r - u) as u64);
+                    if pb > 0.0 {
+                        *bw += wr * pb;
+                    }
+                }
+            }
+            let mut h = vec![0.0f64; c_hi as usize + 1];
+            for (u, &wu) in big_w.iter().enumerate().skip(1) {
+                let terms = (c_hi as usize).saturating_sub(u) + 1;
+                for (v, hv) in h.iter_mut().enumerate().take(terms) {
+                    let pc = tc.pmf((u + v) as u64);
+                    if wu != 0.0 && pc > 0.0 {
+                        *hv += wu * pc;
+                    }
+                }
+            }
+            for n_next in 1..=f.space.max_queue() {
+                let mut p = 0.0;
+                for (v, &hv) in h.iter().enumerate() {
+                    let lo = ((n_next as i64 - 1) * k as i64 - v as i64).max(0);
+                    let hi = n_next as i64 * k as i64 - 1 - v as i64;
+                    if hv != 0.0 && hi >= 0 {
+                        p += hv * td.mass_in(lo as u64, hi as u64);
+                    }
+                }
+                accounted += p;
+                if p > 0.0 {
+                    let target = State::Queued {
+                        n: n_next,
+                        slack: j_next as u32,
+                    };
+                    row.push((f.space.index(target), p));
+                }
+            }
+        }
+        let p_full = (1.0 - accounted).max(0.0);
+        if p_full > 0.0 {
+            row.push((f.space.index(State::Full), p_full));
+        }
+        row
     }
 
     #[test]

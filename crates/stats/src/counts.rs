@@ -56,6 +56,38 @@ pub trait ArrivalProcess: Send + Sync {
     }
 }
 
+/// A borrowed process is the process itself, so owners of a process
+/// (such as a table cache) can hold either a value or a reference.
+impl<P: ArrivalProcess + ?Sized> ArrivalProcess for &P {
+    fn rate(&self) -> f64 {
+        (**self).rate()
+    }
+
+    fn ln_pf(&self, k: u64, t: f64) -> f64 {
+        (**self).ln_pf(k, t)
+    }
+
+    fn count_variance(&self, t: f64) -> f64 {
+        (**self).count_variance(t)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn pf(&self, k: u64, t: f64) -> f64 {
+        (**self).pf(k, t)
+    }
+
+    fn count_mean(&self, t: f64) -> f64 {
+        (**self).count_mean(t)
+    }
+
+    fn table(&self, t: f64, tail_eps: f64) -> CountTable {
+        (**self).table(t, tail_eps)
+    }
+}
+
 /// The Poisson arrival process — the paper's experimental choice
 /// (§3.1.1, citing [17, 37, 38, 54, 57]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -257,6 +289,15 @@ impl CountTable {
         self.offset + (self.pmf.len() as u64 - 1)
     }
 
+    /// The stored window `(offset, pmf, cum)`: `pmf[i]` is
+    /// `PF(offset + i, t)` and `cum[i]` its running sum, so
+    /// `cdf(k) = cum[min(k − offset, len − 1)]` for `k ≥ offset`. Hot
+    /// loops index these slices directly instead of calling
+    /// [`Self::pmf`] or [`Self::mass_in`] once per term.
+    pub fn window(&self) -> (u64, &[f64], &[f64]) {
+        (self.offset, &self.pmf, &self.cum)
+    }
+
     /// Total stored probability mass (≈ 1 up to the truncation tolerance).
     pub fn total_mass(&self) -> f64 {
         *self.cum.last().expect("table is never empty")
@@ -429,6 +470,35 @@ mod tests {
             prev = c;
         }
         assert!((prev - table.total_mass()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn window_agrees_with_pmf_and_cdf() {
+        let table = PoissonProcess::new(300.0).table(0.1, 1e-12);
+        let (offset, pmf, cum) = table.window();
+        assert_eq!(offset, table.min_count());
+        assert_eq!(pmf.len(), cum.len());
+        assert_eq!(offset + pmf.len() as u64 - 1, table.max_count());
+        for k in 0..=table.max_count() + 3 {
+            if k < offset {
+                assert_eq!(table.pmf(k), 0.0);
+                assert_eq!(table.cdf(k), 0.0);
+                continue;
+            }
+            let i = ((k - offset) as usize).min(pmf.len() - 1);
+            assert_eq!(table.cdf(k).to_bits(), cum[i].to_bits(), "k={k}");
+            if k <= table.max_count() {
+                assert_eq!(table.pmf(k).to_bits(), pmf[i].to_bits(), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_process_builds_the_same_table() {
+        let p = NegativeBinomialProcess::new(200.0, 3.0);
+        let by_ref: &dyn ArrivalProcess = &p;
+        assert_eq!((&by_ref).table(0.05, 1e-12), p.table(0.05, 1e-12));
+        assert_eq!((&by_ref).name(), p.name());
     }
 
     #[test]
