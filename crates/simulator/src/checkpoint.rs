@@ -154,58 +154,67 @@ pub struct HeapEntry {
     pub b: u64,
 }
 
-/// An in-flight dispatch, externalized from the engine's private
-/// representation.
+/// One in-flight dispatch: the batch a worker is currently serving.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InFlightState {
     /// Catalog index of the model being run.
     pub model: usize,
     /// The batch, in queue order.
     pub queries: Vec<Query>,
-    /// Dispatch time of this side.
+    /// Dispatch time of *this* side (a hedge's own issue time, not the
+    /// primary's).
     pub started: Nanos,
-    /// The other side of a hedged pair, while both run.
+    /// The other side of a hedged pair, while both are running.
     pub twin: Option<usize>,
-    /// True for the duplicate side of a hedged pair.
+    /// True for the duplicate side of a hedged pair (first-wins
+    /// accounting credits a hedge win only when this side finishes
+    /// first).
     pub is_hedge: bool,
 }
 
-/// Per-worker cluster state at the checkpoint.
+/// Per-worker cluster state, indexed by worker slot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
     /// Serving an in-flight batch right now.
     pub busy: Vec<bool>,
     /// Routable (live) workers.
     pub alive: Vec<bool>,
-    /// Service-time slowdown multiplier per worker.
+    /// Service-time multiplier applied at dispatch (1.0 = nominal).
     pub slow: Vec<f64>,
-    /// Dispatch epoch per worker (stale-event discipline).
+    /// Bumped whenever a dispatch ends (completion, timeout, crash,
+    /// hedge cancel); end events carrying an older epoch are stale.
     pub epochs: Vec<u64>,
     /// In-flight dispatch per worker.
     pub in_flight: Vec<Option<InFlightState>>,
     /// Crash time of each currently-dead worker.
     pub down_since: Vec<Option<Nanos>>,
-    /// Live worker count.
+    /// Live worker count (invariant: `alive.iter().filter(|a| **a).count()`).
     pub live: usize,
-    /// Autoscale lifecycle per worker slot.
+    /// Autoscale lifecycle per worker slot. Without autoscaling every
+    /// slot stays `Live` forever and `alive` alone tells the story;
+    /// with it, `alive[w]` is exactly `lifecycle[w] == Live`, except for
+    /// crashed workers (lifecycle `Down` with `down_since` set).
     pub lifecycle: Vec<WorkerState>,
 }
 
-/// Resilience-layer state at the checkpoint.
+/// Resilience-layer run state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceState {
-    /// Retry token bucket.
+    /// Token bucket shared by all retries in the run.
     pub budget: RetryBudget,
-    /// CoDel admission state per queue (workers, then central).
+    /// CoDel admission state per queue: index `w` for worker `w`'s
+    /// queue, index `n_workers` for the central queue.
     pub admission: Vec<CoDelAdmission>,
-    /// Observed service-time histogram feeding the hedge quantile.
+    /// Observed service times (hedged dispatches included) feeding the
+    /// hedge-quantile estimate.
     pub service_hist: LogHistogram,
-    /// Append-only backoff buffer `EventKind::Retry` indexes into.
+    /// Queries waiting out their backoff; `EventKind::Retry` carries an
+    /// index into this append-only buffer.
     pub retry_buf: Vec<Query>,
 }
 
-/// Autoscaler and brownout state at the checkpoint; absent when the
-/// subsystem is disabled.
+/// Autoscaler and brownout run state; absent when the subsystem is
+/// disabled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleState {
     /// Hysteresis controller (pending direction/ticks, cooldown clock).
@@ -220,14 +229,17 @@ pub struct AutoscaleState {
     pub live_at_change: usize,
     /// When rung 0 was last left (open brownout episode).
     pub brownout_since: Option<Nanos>,
-    /// Active brownout rung mirrored onto the dispatch hot path.
+    /// The ladder's rung as of the last controller tick, applied on the
+    /// dispatch hot path; 0 remaps nothing.
     pub brown_rung: u32,
     /// `Serve` selections degraded by the ladder so far.
     pub brown_degraded: u64,
 }
 
 /// Complete mid-run engine state: everything needed to continue the run
-/// to a byte-identical report and telemetry suffix. Serializes to
+/// to a byte-identical report and telemetry suffix. The section types
+/// are the engine's own run state, not copies of it, so a field added to
+/// the engine is in the snapshot by construction. Serializes to
 /// canonical JSON (fixed field order, sorted heap), so equal states
 /// give equal bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -262,21 +262,29 @@ impl EventKind {
         }
     }
 
-    /// Inverse of [`Self::encode`].
+    /// Inverse of [`Self::encode`]. Indices are range-checked against
+    /// the run by [`Engine::check_snapshot`].
     fn decode(tag: u8, a: u64, b: u64) -> Result<Self, SimError> {
+        let too_big = || {
+            SimError::InvalidConfig(format!(
+                "cannot resume: snapshot heap entry ({tag}, {a}, {b}) has an out-of-range index"
+            ))
+        };
+        let w = || usize::try_from(a).map_err(|_| too_big());
+        let i = || u32::try_from(a).map_err(|_| too_big());
         Ok(match tag {
             0 => EventKind::Arrival(a),
-            1 => EventKind::WorkerDone(a as usize, b),
-            2 => EventKind::Fault(a as u32),
-            3 => EventKind::Timeout(a as usize, b),
-            4 => EventKind::HedgeDue(a as usize, b),
-            5 => EventKind::Retry(a as u32),
+            1 => EventKind::WorkerDone(w()?, b),
+            2 => EventKind::Fault(i()?),
+            3 => EventKind::Timeout(w()?, b),
+            4 => EventKind::HedgeDue(w()?, b),
+            5 => EventKind::Retry(i()?),
             6 => EventKind::ScaleTick,
-            7 => EventKind::WarmupDone(a as usize, b),
+            7 => EventKind::WarmupDone(w()?, b),
             8 => EventKind::HealthTick,
             _ => {
                 return Err(SimError::InvalidConfig(format!(
-                    "snapshot heap entry has unknown event tag {tag}"
+                    "cannot resume: snapshot heap entry has unknown event tag {tag}"
                 )))
             }
         })
@@ -521,69 +529,24 @@ impl<'s> Tracer<'s> {
     }
 }
 
-/// One in-flight dispatch: the batch a worker is currently serving.
-#[derive(Debug, Clone)]
-struct InFlight {
-    /// Catalog index of the model being run.
-    model: usize,
-    /// The batch, in queue order.
-    queries: Vec<Query>,
-    /// Dispatch time of *this* side (a hedge's own issue time, not the
-    /// primary's).
-    started: Nanos,
-    /// The other side of a hedged pair, while both are running.
-    twin: Option<usize>,
-    /// True for the duplicate side of a hedged pair (first-wins
-    /// accounting credits a hedge win only when this side finishes
-    /// first).
-    is_hedge: bool,
-}
-
-/// Per-worker runtime state shared by the event handlers.
-struct Cluster {
-    busy: Vec<bool>,
-    alive: Vec<bool>,
-    /// Service-time multiplier applied at dispatch (1.0 = nominal).
-    slow: Vec<f64>,
-    /// Bumped whenever a dispatch ends (completion, timeout, crash,
-    /// hedge cancel); end events carrying an older epoch are stale.
-    epochs: Vec<u64>,
-    /// In-flight dispatch per worker.
-    in_flight: Vec<Option<InFlight>>,
-    /// Crash time of each currently-dead worker.
-    down_since: Vec<Option<Nanos>>,
-    /// Live worker count (invariant: `alive.iter().filter(|a| **a).count()`).
-    live: usize,
-    /// Autoscale lifecycle per worker slot. Without autoscaling every
-    /// slot stays `Live` forever and `alive` alone tells the story;
-    /// with it, `alive[w]` is exactly `lifecycle[w] == Live`, except for
-    /// crashed workers (lifecycle `Down` with `down_since` set).
-    lifecycle: Vec<WorkerState>,
-}
-
-impl Cluster {
-    fn new(workers: usize) -> Self {
-        Self {
-            busy: vec![false; workers],
-            alive: vec![true; workers],
-            slow: vec![1.0; workers],
-            epochs: vec![0; workers],
-            in_flight: vec![None; workers],
-            down_since: vec![None; workers],
-            live: workers,
-            lifecycle: vec![WorkerState::Live; workers],
-        }
-    }
-
+impl ClusterState {
     /// A cluster with `capacity` slots of which the first `initial` are
     /// Live; the rest are Down, waiting on a scale-up.
     fn elastic(capacity: usize, initial: usize) -> Self {
-        let mut c = Self::new(capacity);
+        let mut c = Self {
+            busy: vec![false; capacity],
+            alive: vec![true; capacity],
+            slow: vec![1.0; capacity],
+            epochs: vec![0; capacity],
+            in_flight: vec![None; capacity],
+            down_since: vec![None; capacity],
+            live: initial.min(capacity),
+            lifecycle: vec![WorkerState::Live; capacity],
+        };
         for w in initial..capacity {
             c.alive[w] = false;
             c.lifecycle[w] = WorkerState::Down;
         }
-        c.live = initial.min(capacity);
         c
     }
 
@@ -601,58 +564,6 @@ impl Cluster {
             .iter()
             .filter(|s| **s == WorkerState::Draining)
             .count()
-    }
-
-    /// Externalizes the cluster for a checkpoint.
-    fn snapshot(&self) -> ClusterState {
-        ClusterState {
-            busy: self.busy.clone(),
-            alive: self.alive.clone(),
-            slow: self.slow.clone(),
-            epochs: self.epochs.clone(),
-            in_flight: self
-                .in_flight
-                .iter()
-                .map(|o| {
-                    o.as_ref().map(|f| InFlightState {
-                        model: f.model,
-                        queries: f.queries.clone(),
-                        started: f.started,
-                        twin: f.twin,
-                        is_hedge: f.is_hedge,
-                    })
-                })
-                .collect(),
-            down_since: self.down_since.clone(),
-            live: self.live,
-            lifecycle: self.lifecycle.clone(),
-        }
-    }
-
-    /// Rebuilds the cluster from a checkpoint.
-    fn restore(snap: &ClusterState) -> Self {
-        Self {
-            busy: snap.busy.clone(),
-            alive: snap.alive.clone(),
-            slow: snap.slow.clone(),
-            epochs: snap.epochs.clone(),
-            in_flight: snap
-                .in_flight
-                .iter()
-                .map(|o| {
-                    o.as_ref().map(|f| InFlight {
-                        model: f.model,
-                        queries: f.queries.clone(),
-                        started: f.started,
-                        twin: f.twin,
-                        is_hedge: f.is_hedge,
-                    })
-                })
-                .collect(),
-            down_since: snap.down_since.clone(),
-            live: snap.live,
-            lifecycle: snap.lifecycle.clone(),
-        }
     }
 }
 
@@ -677,7 +588,7 @@ struct HealthRuntime {
 
 impl HealthRuntime {
     /// Recomputes the routing view from ground truth + suspicion.
-    fn rebuild_view(&mut self, cluster: &Cluster) {
+    fn rebuild_view(&mut self, cluster: &ClusterState) {
         self.perceived_live = 0;
         for w in 0..self.view.len() {
             self.view[w] =
@@ -694,27 +605,19 @@ impl HealthRuntime {
 /// is ever consulted on the hot path beyond one branch per site.
 struct ResilienceRuntime {
     policy: ResiliencePolicy,
-    /// Token bucket shared by all retries in the run.
-    budget: RetryBudget,
-    /// CoDel admission state per queue: index `w` for worker `w`'s
-    /// queue, index `n_workers` for the central queue.
-    admission: Vec<CoDelAdmission>,
-    /// Observed service times (hedged dispatches included) feeding the
-    /// hedge-quantile estimate.
-    service_hist: LogHistogram,
-    /// Queries waiting out their backoff; `EventKind::Retry` carries an
-    /// index into this append-only buffer.
-    retry_buf: Vec<Query>,
+    state: ResilienceState,
 }
 
 impl ResilienceRuntime {
     fn new(policy: ResiliencePolicy, n_workers: usize) -> Self {
         Self {
             policy,
-            budget: RetryBudget::new(policy.retry.budget_rate_per_s, policy.retry.budget_burst),
-            admission: vec![CoDelAdmission::default(); n_workers + 1],
-            service_hist: LogHistogram::new(),
-            retry_buf: Vec::new(),
+            state: ResilienceState {
+                budget: RetryBudget::new(policy.retry.budget_rate_per_s, policy.retry.budget_burst),
+                admission: vec![CoDelAdmission::default(); n_workers + 1],
+                service_hist: LogHistogram::new(),
+                retry_buf: Vec::new(),
+            },
         }
     }
 
@@ -722,96 +625,40 @@ impl ResilienceRuntime {
     /// have been observed; `None` while the estimate is still noise.
     fn hedge_delay_ns(&self) -> Option<Nanos> {
         let h = &self.policy.hedge;
-        if self.service_hist.count() < h.min_samples {
+        let hist = &self.state.service_hist;
+        if hist.count() < h.min_samples {
             return None;
         }
-        let p = self.service_hist.percentile(h.quantile)?;
+        let p = hist.percentile(h.quantile)?;
         Some(p.max(nanos_from_secs(h.min_delay_s)))
     }
 }
 
 /// The autoscaler's per-run state: the controller, the ladder, and the
-/// accounting behind [`AutoscaleStats`]. `None` when the subsystem is
-/// disabled — the engine then schedules no ticks and takes exactly its
-/// fixed-pool paths.
+/// accounting behind [`AutoscaleStats`], next to what the run derives
+/// from its config. `None` when the subsystem is disabled — the engine
+/// then schedules no ticks and takes exactly its fixed-pool paths.
 struct AutoscaleRuntime {
-    controller: HysteresisController,
-    ladder: BrownoutLadder,
-    stats: AutoscaleStats,
+    state: AutoscaleState,
     /// Controller tick period in simulated nanoseconds.
     tick_ns: Nanos,
     /// Last arrival time; ticks stop rescheduling past it so the run
     /// terminates.
     tick_end: Nanos,
-    /// Live-count integral bookkeeping: time and value at the last
-    /// change.
-    last_live_change: Nanos,
-    live_at_change: usize,
-    /// When rung 0 was last left (open brownout episode).
-    brownout_since: Option<Nanos>,
-}
-
-impl AutoscaleRuntime {
-    fn new(policy: AutoscalePolicy, initial_live: usize, n_models: usize, tick_end: Nanos) -> Self {
-        let profile_rungs = n_models.saturating_sub(1) as u32;
-        Self {
-            controller: HysteresisController::new(policy),
-            ladder: BrownoutLadder::new(policy.brownout, profile_rungs),
-            stats: AutoscaleStats {
-                min_live_workers: initial_live,
-                max_live_workers: initial_live,
-                ..AutoscaleStats::default()
-            },
-            tick_ns: nanos_from_secs(policy.eval_interval_s).max(1),
-            tick_end,
-            last_live_change: 0,
-            live_at_change: initial_live,
-            brownout_since: None,
-        }
-    }
-
-    /// Folds a live-count change at `now` into the worker-seconds
-    /// integral and the min/max tracking.
-    fn account_live(&mut self, now: Nanos, new_live: usize) {
-        self.stats.worker_seconds +=
-            self.live_at_change as f64 * secs_from_nanos(now.saturating_sub(self.last_live_change));
-        self.last_live_change = now;
-        self.live_at_change = new_live;
-        self.stats.min_live_workers = self.stats.min_live_workers.min(new_live);
-        self.stats.max_live_workers = self.stats.max_live_workers.max(new_live);
-    }
-
-    /// Closes the books at the end of the run.
-    fn finalize(mut self, horizon: Nanos) -> AutoscaleStats {
-        self.account_live(horizon, self.live_at_change);
-        if let Some(start) = self.brownout_since.take() {
-            self.stats.brownout_time_s += secs_from_nanos(horizon.saturating_sub(start));
-        }
-        let horizon_s = secs_from_nanos(horizon);
-        self.stats.mean_live_workers = if horizon_s > 0.0 {
-            self.stats.worker_seconds / horizon_s
-        } else {
-            self.live_at_change as f64
-        };
-        self.stats
-    }
-}
-
-/// Brownout state consulted on the dispatch hot path, kept apart from
-/// [`AutoscaleRuntime`] so `dispatch` borrows only what it needs.
-struct BrownoutState {
-    /// Active rung; 0 remaps nothing.
-    rung: u32,
-    /// Model indices fastest → slowest by deterministic batch-1 latency.
+    /// Model indices fastest → slowest by deterministic batch-1
+    /// latency: the order in which brownout rungs ban models.
     order: Vec<usize>,
     /// `pos[m]` is model `m`'s rank in `order`.
     pos: Vec<usize>,
-    /// `Serve` selections remapped so far.
-    degraded: u64,
 }
 
-impl BrownoutState {
-    fn new(profile: &WorkerProfile) -> Self {
+impl AutoscaleRuntime {
+    fn new(
+        policy: AutoscalePolicy,
+        initial_live: usize,
+        profile: &WorkerProfile,
+        tick_end: Nanos,
+    ) -> Self {
         let n = profile.n_models();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
@@ -825,29 +672,74 @@ impl BrownoutState {
         for (rank, &m) in order.iter().enumerate() {
             pos[m] = rank;
         }
+        let profile_rungs = n.saturating_sub(1) as u32;
         Self {
-            rung: 0,
+            state: AutoscaleState {
+                controller: HysteresisController::new(policy),
+                ladder: BrownoutLadder::new(policy.brownout, profile_rungs),
+                stats: AutoscaleStats {
+                    min_live_workers: initial_live,
+                    max_live_workers: initial_live,
+                    ..AutoscaleStats::default()
+                },
+                last_live_change: 0,
+                live_at_change: initial_live,
+                brownout_since: None,
+                brown_rung: 0,
+                brown_degraded: 0,
+            },
+            tick_ns: nanos_from_secs(policy.eval_interval_s).max(1),
+            tick_end,
             order,
             pos,
-            degraded: 0,
         }
     }
 
-    /// Applies the active rung to a scheme's model choice: rung `r`
-    /// bans the `r` slowest models, and a banned choice degrades to the
-    /// slowest (most accurate) still-allowed model.
+    /// Folds a live-count change at `now` into the worker-seconds
+    /// integral and the min/max tracking.
+    fn account_live(&mut self, now: Nanos, new_live: usize) {
+        let s = &mut self.state;
+        s.stats.worker_seconds +=
+            s.live_at_change as f64 * secs_from_nanos(now.saturating_sub(s.last_live_change));
+        s.last_live_change = now;
+        s.live_at_change = new_live;
+        s.stats.min_live_workers = s.stats.min_live_workers.min(new_live);
+        s.stats.max_live_workers = s.stats.max_live_workers.max(new_live);
+    }
+
+    /// Closes the books at the end of the run.
+    fn finalize(mut self, horizon: Nanos) -> AutoscaleStats {
+        self.account_live(horizon, self.state.live_at_change);
+        let s = &mut self.state;
+        if let Some(start) = s.brownout_since.take() {
+            s.stats.brownout_time_s += secs_from_nanos(horizon.saturating_sub(start));
+        }
+        let horizon_s = secs_from_nanos(horizon);
+        s.stats.mean_live_workers = if horizon_s > 0.0 {
+            s.stats.worker_seconds / horizon_s
+        } else {
+            s.live_at_change as f64
+        };
+        s.stats.degraded_selections = s.brown_degraded;
+        self.state.stats
+    }
+
+    /// Applies the active brownout rung to a scheme's model choice:
+    /// rung `r` bans the `r` slowest models, and a banned choice
+    /// degrades to the slowest (most accurate) still-allowed model.
     fn remap(&mut self, model: usize) -> usize {
-        if self.rung == 0 || self.order.is_empty() {
+        let rung = self.state.brown_rung;
+        if rung == 0 || self.order.is_empty() {
             return model;
         }
         let slowest_allowed = self
             .order
             .len()
             .saturating_sub(1)
-            .saturating_sub(self.rung as usize)
+            .saturating_sub(rung as usize)
             .min(self.order.len() - 1);
         if self.pos[model] > slowest_allowed {
-            self.degraded += 1;
+            self.state.brown_degraded += 1;
             self.order[slowest_allowed]
         } else {
             model
@@ -1290,13 +1182,12 @@ struct Engine<'r> {
     /// a full outage); drained to the first worker that recovers.
     limbo: VecDeque<Query>,
     rr_next: usize,
-    cluster: Cluster,
+    cluster: ClusterState,
     resil: ResilienceRuntime,
     events: Schedule,
     /// Autoscaler and brownout state; `None` when the subsystem is off,
     /// so the run takes exactly the fixed-pool paths.
     scale: Option<AutoscaleRuntime>,
-    brown: Option<BrownoutState>,
     /// Failure detector and perceived view; `None` with health off, so
     /// the run takes exactly the oracle-membership paths.
     health: Option<HealthRuntime>,
@@ -1374,14 +1265,13 @@ impl<'r> Engine<'r> {
             central_queue: VecDeque::new(),
             limbo: VecDeque::new(),
             rr_next: 0,
-            cluster: Cluster::elastic(n_workers, config.workers),
+            cluster: ClusterState::elastic(n_workers, config.workers),
             resil: ResilienceRuntime::new(config.resilience, n_workers),
             events: Schedule {
                 heap: BinaryHeap::new(),
                 seq: 0,
             },
             scale: None,
-            brown: None,
             health: None,
             // Gray batch-error faults are plan physics, not detector
             // behavior: they fire with health on or off. The draw is
@@ -1423,17 +1313,12 @@ impl<'r> Engine<'r> {
         // here runs when the policy is disabled, so the event stream and
         // the report stay byte-identical to the fixed-pool engine.
         if autoscale.enabled {
-            let rt = AutoscaleRuntime::new(
-                autoscale,
-                engine.cluster.live,
-                sim.profiles[0].n_models(),
-                tick_end,
-            );
+            let rt =
+                AutoscaleRuntime::new(autoscale, engine.cluster.live, sim.profiles[0], tick_end);
             engine
                 .events
                 .push(engine.prof, rt.tick_ns, EventKind::ScaleTick);
             engine.scale = Some(rt);
-            engine.brown = Some(BrownoutState::new(sim.profiles[0]));
         }
         // The failure detector and the perceived-membership view. As
         // with autoscaling, nothing here runs when the policy is
@@ -1466,17 +1351,11 @@ impl<'r> Engine<'r> {
     /// snapshot belongs to this exact run.
     fn resume_from(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
         self.arrivals_hash = arrivals_fingerprint(self.arrivals);
-        self.check_snapshot(snap)?;
         // The snapshot's heap already holds everything still pending,
         // including the setup-time pushes (fault actions, the
         // in-progress arrival chain, the next scale tick) in their
         // mid-run form — rebuild from it wholesale.
-        self.events.heap.clear();
-        for e in &snap.heap {
-            self.events
-                .heap
-                .push(Reverse((e.t, e.seq, EventKind::decode(e.tag, e.a, e.b)?)));
-        }
+        self.events.heap = self.check_snapshot(snap)?;
         self.events.seq = snap.next_seq;
         self.horizon = snap.horizon;
         self.events_done = snap.meta.events_done;
@@ -1496,11 +1375,8 @@ impl<'r> Engine<'r> {
         self.central_queue = snap.central_queue.clone();
         self.limbo = snap.limbo.clone();
         self.rr_next = snap.rr_next;
-        self.cluster = Cluster::restore(&snap.cluster);
-        self.resil.budget = snap.resilience.budget.clone();
-        self.resil.admission = snap.resilience.admission.clone();
-        self.resil.service_hist = snap.resilience.service_hist.clone();
-        self.resil.retry_buf = snap.resilience.retry_buf.clone();
+        self.cluster = snap.cluster.clone();
+        self.resil.state = snap.resilience.clone();
         self.sampler
             .restore_rng(snap.latency_rng.0, snap.latency_rng.1);
         // Fault windows are re-derived from the plan rather than
@@ -1511,31 +1387,12 @@ impl<'r> Engine<'r> {
             .metrics
             .clone()
             .with_fault_windows(self.plan.fault_windows());
-        match (self.scale.as_mut(), snap.autoscale.as_ref()) {
-            (Some(rt), Some(s)) => {
-                rt.controller = s.controller.clone();
-                rt.ladder = s.ladder.clone();
-                rt.stats = s.stats.clone();
-                rt.last_live_change = s.last_live_change;
-                rt.live_at_change = s.live_at_change;
-                rt.brownout_since = s.brownout_since;
-                let b = self
-                    .brown
-                    .as_mut()
-                    .expect("brownout state exists with autoscale");
-                b.rung = s.brown_rung;
-                b.degraded = s.brown_degraded;
-            }
-            (None, None) => {}
-            (have, _) => return Err(subsystem_mismatch("autoscale", have.is_some())),
+        if let (Some(rt), Some(s)) = (self.scale.as_mut(), &snap.autoscale) {
+            rt.state = s.clone();
         }
-        match (self.health.as_mut(), snap.health.as_ref()) {
-            (Some(hs), Some(s)) => {
-                hs.monitor.restore(s)?;
-                hs.rebuild_view(&self.cluster);
-            }
-            (None, None) => {}
-            (have, _) => return Err(subsystem_mismatch("health", have.is_some())),
+        if let (Some(hs), Some(s)) = (self.health.as_mut(), &snap.health) {
+            hs.monitor.restore(s)?;
+            hs.rebuild_view(&self.cluster);
         }
         self.scheme
             .restore_state(&snap.scheme_state)
@@ -1546,12 +1403,15 @@ impl<'r> Engine<'r> {
     }
 
     /// Refuses to resume a snapshot that does not belong to this exact
-    /// run: same config identity (pool, SLO, seeds), same scheme, and
-    /// the same pre-sampled arrival array.
-    fn check_snapshot(&self, snap: &EngineSnapshot) -> Result<(), SimError> {
+    /// run: same config identity (pool, SLO, seeds), same scheme, same
+    /// subsystems, and the same pre-sampled arrival array. A snapshot is
+    /// read from a file, so every length and index it carries is checked
+    /// here too, before the run uses any. Returns the decoded event
+    /// heap.
+    fn check_snapshot(&self, snap: &EngineSnapshot) -> Result<EventHeap, SimError> {
         let config = &self.sim.config;
         let scheme_name = self.scheme.name();
-        let n_workers = self.n_workers();
+        let n = self.n_workers();
         let m = &snap.meta;
         let bad = |msg: String| Err(SimError::InvalidConfig(format!("cannot resume: {msg}")));
         if m.version != SNAPSHOT_VERSION {
@@ -1594,16 +1454,82 @@ impl<'r> Engine<'r> {
                 m.arrivals_hash
             ));
         }
-        if snap.cluster.alive.len() != n_workers
-            || snap.worker_queues.len() != n_workers
-            || snap.resilience.admission.len() != n_workers + 1
-        {
+        if self.scale.is_some() != snap.autoscale.is_some() {
+            return Err(subsystem_mismatch("autoscale", self.scale.is_some()));
+        }
+        if self.health.is_some() != snap.health.is_some() {
+            return Err(subsystem_mismatch("health", self.health.is_some()));
+        }
+        let c = &snap.cluster;
+        let mut lengths = vec![
+            ("cluster.busy", c.busy.len(), n),
+            ("cluster.alive", c.alive.len(), n),
+            ("cluster.slow", c.slow.len(), n),
+            ("cluster.epochs", c.epochs.len(), n),
+            ("cluster.in_flight", c.in_flight.len(), n),
+            ("cluster.down_since", c.down_since.len(), n),
+            ("cluster.lifecycle", c.lifecycle.len(), n),
+            ("worker_queues", snap.worker_queues.len(), n),
+            (
+                "resilience.admission",
+                snap.resilience.admission.len(),
+                n + 1,
+            ),
+        ];
+        if let Some(h) = &snap.health {
+            lengths.push(("health.workers", h.workers.len(), n));
+        }
+        for (what, len, want) in lengths {
+            if len != want {
+                return bad(format!(
+                    "{what} has {len} entries, this run has {n} workers"
+                ));
+            }
+        }
+        if c.live != c.alive.iter().filter(|a| **a).count() {
             return bad(format!(
-                "snapshot cluster is sized for {} workers, this run has {n_workers}",
-                snap.cluster.alive.len()
+                "cluster.live {} disagrees with cluster.alive",
+                c.live
             ));
         }
-        Ok(())
+        if snap.rr_next >= n {
+            return bad(format!("rr_next {} is past {n} workers", snap.rr_next));
+        }
+        // A ChaCha block holds 16 words; 16 means the block is used up.
+        if snap.latency_rng.1 > 16 {
+            return bad(format!(
+                "latency_rng word {} is past 16",
+                snap.latency_rng.1
+            ));
+        }
+        for (w, fl) in c.in_flight.iter().enumerate() {
+            let Some(fl) = fl else { continue };
+            if fl.model >= self.sim.profile_of(w).n_models() {
+                return bad(format!("worker {w} runs unknown model {}", fl.model));
+            }
+            if fl.twin.is_some_and(|v| v >= n || c.in_flight[v].is_none()) {
+                return bad(format!("worker {w}'s hedge twin is not in flight"));
+            }
+        }
+        let mut heap = EventHeap::with_capacity(snap.heap.len());
+        for e in &snap.heap {
+            let kind = EventKind::decode(e.tag, e.a, e.b)?;
+            let in_range = match kind {
+                EventKind::Arrival(i) => i < self.arrivals.len() as u64,
+                EventKind::Fault(i) => (i as usize) < self.actions.len(),
+                EventKind::Retry(i) => (i as usize) < snap.resilience.retry_buf.len(),
+                EventKind::WorkerDone(w, _)
+                | EventKind::Timeout(w, _)
+                | EventKind::HedgeDue(w, _)
+                | EventKind::WarmupDone(w, _) => w < n,
+                EventKind::ScaleTick | EventKind::HealthTick => true,
+            };
+            if !in_range {
+                return bad(format!("heap entry {e:?} indexes past this run"));
+            }
+            heap.push(Reverse((e.t, e.seq, kind)));
+        }
+        Ok(heap)
     }
 
     /// Captures the complete mid-run state as an [`EngineSnapshot`].
@@ -1613,7 +1539,7 @@ impl<'r> Engine<'r> {
         let config = &self.sim.config;
         // Heap iteration order is arbitrary; entries are sorted by
         // `(t, seq)` so equal states serialize to equal bytes.
-        let mut entries: Vec<HeapEntry> = self
+        let mut heap: Vec<HeapEntry> = self
             .events
             .heap
             .iter()
@@ -1628,24 +1554,7 @@ impl<'r> Engine<'r> {
                 }
             })
             .collect();
-        entries.sort_unstable_by_key(|e| (e.t, e.seq));
-        let autoscale = self.scale.as_ref().map(|rt| {
-            let b = self
-                .brown
-                .as_ref()
-                .expect("brownout state exists with autoscale");
-            AutoscaleState {
-                controller: rt.controller.clone(),
-                ladder: rt.ladder.clone(),
-                stats: rt.stats.clone(),
-                last_live_change: rt.last_live_change,
-                live_at_change: rt.live_at_change,
-                brownout_since: rt.brownout_since,
-                brown_rung: b.rung,
-                brown_degraded: b.degraded,
-            }
-        });
-        let resil = &self.resil;
+        heap.sort_unstable_by_key(|e| (e.t, e.seq));
         EngineSnapshot {
             meta: SnapshotMeta {
                 version: SNAPSHOT_VERSION,
@@ -1660,23 +1569,18 @@ impl<'r> Engine<'r> {
                 arrivals_len: self.arrivals.len(),
                 arrivals_hash: self.arrivals_hash,
             },
-            heap: entries,
+            heap,
             next_seq: self.events.seq,
             horizon: self.horizon,
             worker_queues: self.worker_queues.clone(),
             central_queue: self.central_queue.clone(),
             limbo: self.limbo.clone(),
             rr_next: self.rr_next,
-            cluster: self.cluster.snapshot(),
-            resilience: ResilienceState {
-                budget: resil.budget.clone(),
-                admission: resil.admission.clone(),
-                service_hist: resil.service_hist.clone(),
-                retry_buf: resil.retry_buf.clone(),
-            },
+            cluster: self.cluster.clone(),
+            resilience: self.resil.state.clone(),
             metrics: self.metrics.clone(),
             latency_rng: self.sampler.rng_state(),
-            autoscale,
+            autoscale: self.scale.as_ref().map(|rt| rt.state.clone()),
             health: self.health.as_ref().map(|h| h.monitor.snapshot()),
             scheme_state: self
                 .scheme
@@ -1788,10 +1692,7 @@ impl<'r> Engine<'r> {
             stats.per_regime = regime_breakdown;
             report.adaptive = Some(stats);
         }
-        if let Some(mut rt) = self.scale.take() {
-            if let Some(b) = self.brown.as_ref() {
-                rt.stats.degraded_selections = b.degraded;
-            }
+        if let Some(rt) = self.scale.take() {
             report.autoscale = Some(rt.finalize(horizon));
         }
         if let Some(mut hs) = self.health.take() {
@@ -1825,7 +1726,7 @@ impl<'r> Engine<'r> {
 
     /// A backed-off query re-enters routing.
     fn on_retry(&mut self, now: Nanos, idx: u32) {
-        let q = self.resil.retry_buf[idx as usize];
+        let q = self.resil.state.retry_buf[idx as usize];
         self.prof.enter(Phase::Route);
         self.route_query(q, now);
         self.prof.exit(Phase::Route);
@@ -1935,7 +1836,7 @@ impl<'r> Engine<'r> {
     /// Gray batch-error injection (plan physics, on with or without the
     /// detector): whether `fl`'s reply is a retriable failure. Hedged
     /// pairs are exempt: the twin owns the outcome.
-    fn batch_errored(&self, now: Nanos, w: usize, fl: &InFlight) -> bool {
+    fn batch_errored(&self, now: Nanos, w: usize, fl: &InFlightState) -> bool {
         if !self.has_batch_errors || fl.twin.is_some() || fl.is_hedge {
             return false;
         }
@@ -1947,7 +1848,7 @@ impl<'r> Engine<'r> {
 
     /// An errored reply: nothing completes, the batch goes back to a
     /// queue head, and the attempt's time is lost as extra wait.
-    fn on_batch_error(&mut self, now: Nanos, w: usize, fl: InFlight) {
+    fn on_batch_error(&mut self, now: Nanos, w: usize, fl: InFlightState) {
         self.cluster.busy[w] = false;
         if self.tracer.on {
             for q in &fl.queries {
@@ -2041,7 +1942,7 @@ impl<'r> Engine<'r> {
             attempt,
         });
         let exhausted = attempt > rpol.max_retries;
-        if !exhausted && self.resil.budget.try_take(secs_from_nanos(now)) {
+        if !exhausted && self.resil.state.budget.try_take(secs_from_nanos(now)) {
             self.prof.incr(HotCounter::RetriesScheduled);
             self.metrics.record_retry();
             let delay_ns = nanos_from_secs(backoff_delay_s(&rpol, attempt, q.id));
@@ -2053,8 +1954,8 @@ impl<'r> Engine<'r> {
             });
             let chosen = ChosenAction::Retry { attempt, delay_ns };
             self.decide(now, Some(q.id), w, chosen, ReasonCode::Retry);
-            let idx = self.resil.retry_buf.len() as u32;
-            self.resil.retry_buf.push(q);
+            let idx = self.resil.state.retry_buf.len() as u32;
+            self.resil.state.retry_buf.push(q);
             self.events
                 .push(self.prof, now + delay_ns, EventKind::Retry(idx));
             return;
@@ -2097,9 +1998,9 @@ impl<'r> Engine<'r> {
         let service =
             self.sampler.sample(self.sim.profile_of(v), model, batch) * self.cluster.slow[v];
         let service_ns = nanos_from_secs(service);
-        self.resil.service_hist.record(service_ns);
+        self.resil.state.service_hist.record(service_ns);
         self.cluster.busy[v] = true;
-        self.cluster.in_flight[v] = Some(InFlight {
+        self.cluster.in_flight[v] = Some(InFlightState {
             model,
             queries,
             started: now,
@@ -2282,7 +2183,7 @@ impl<'r> Engine<'r> {
         let Some(mut rt) = self.scale.take() else {
             return;
         };
-        rt.stats.ticks += 1;
+        rt.state.stats.ticks += 1;
         // Ticks reschedule themselves while arrivals remain, then stop
         // so the run terminates.
         let next = now + rt.tick_ns;
@@ -2304,7 +2205,7 @@ impl<'r> Engine<'r> {
             queued: self.central_queue.len()
                 + self.worker_queues.iter().map(VecDeque::len).sum::<usize>(),
         };
-        let desired = rt.controller.desired_workers(&sig);
+        let desired = rt.state.controller.desired_workers(&sig);
         let current = sig.live + sig.warming;
         let mut handed_off_work = false;
         if desired > current {
@@ -2315,14 +2216,14 @@ impl<'r> Engine<'r> {
         // Feed the brownout ladder: the load estimate against the live
         // pool's capacity target.
         let capacity_qps =
-            self.perceived_live() as f64 * rt.controller.policy().target_qps_per_worker;
-        if let Some(transition) = rt.ladder.observe(load, capacity_qps) {
+            self.perceived_live() as f64 * rt.state.controller.policy().target_qps_per_worker;
+        if let Some(transition) = rt.state.ladder.observe(load, capacity_qps) {
             match transition {
                 BrownoutTransition::Enter { rung } => {
-                    rt.stats.brownout_enters += 1;
-                    rt.stats.max_brownout_rung = rt.stats.max_brownout_rung.max(rung);
+                    rt.state.stats.brownout_enters += 1;
+                    rt.state.stats.max_brownout_rung = rt.state.stats.max_brownout_rung.max(rung);
                     if rung == 1 {
-                        rt.brownout_since = Some(now);
+                        rt.state.brownout_since = Some(now);
                     }
                     self.tracer.emit(|| Event::BrownoutEnter {
                         at: now,
@@ -2332,10 +2233,11 @@ impl<'r> Engine<'r> {
                     });
                 }
                 BrownoutTransition::Exit { rung } => {
-                    rt.stats.brownout_exits += 1;
+                    rt.state.stats.brownout_exits += 1;
                     if rung == 1 {
-                        if let Some(start) = rt.brownout_since.take() {
-                            rt.stats.brownout_time_s += secs_from_nanos(now.saturating_sub(start));
+                        if let Some(start) = rt.state.brownout_since.take() {
+                            rt.state.stats.brownout_time_s +=
+                                secs_from_nanos(now.saturating_sub(start));
                         }
                     }
                     self.tracer.emit(|| Event::BrownoutExit {
@@ -2347,9 +2249,7 @@ impl<'r> Engine<'r> {
                 }
             }
         }
-        if let Some(b) = self.brown.as_mut() {
-            b.rung = rt.ladder.rung();
-        }
+        rt.state.brown_rung = rt.state.ladder.rung();
         self.scale = Some(rt);
         if handed_off_work {
             self.kick_idle_workers(now);
@@ -2358,7 +2258,7 @@ impl<'r> Engine<'r> {
 
     /// Starts warming up to `need` scaled-down slots.
     fn scale_up(&mut self, now: Nanos, rt: &mut AutoscaleRuntime, mut need: usize) {
-        let warmup_ns = nanos_from_secs(rt.controller.policy().warmup_s);
+        let warmup_ns = nanos_from_secs(rt.state.controller.policy().warmup_s);
         for w in 0..self.n_workers() {
             if need == 0 {
                 break;
@@ -2371,7 +2271,7 @@ impl<'r> Engine<'r> {
                 continue;
             }
             self.cluster.lifecycle[w] = WorkerState::Warming;
-            rt.stats.scale_ups += 1;
+            rt.state.stats.scale_ups += 1;
             let live = self.cluster.live;
             self.tracer.emit(|| Event::ScaleUp {
                 at: now,
@@ -2397,7 +2297,7 @@ impl<'r> Engine<'r> {
             }
             self.cluster.lifecycle[w] = WorkerState::Down;
             self.cluster.epochs[w] += 1; // strands the WarmupDone
-            rt.stats.scale_downs += 1;
+            rt.state.stats.scale_downs += 1;
             let live = self.cluster.live;
             self.tracer.emit(|| Event::ScaleDown {
                 at: now,
@@ -2429,9 +2329,9 @@ impl<'r> Engine<'r> {
                 }
             }
             rt.account_live(now, self.cluster.live);
-            rt.stats.scale_downs += 1;
+            rt.state.stats.scale_downs += 1;
             let handed: Vec<Query> = self.worker_queues[w].drain(..).collect();
-            rt.stats.drain_handoffs += handed.len() as u64;
+            rt.state.stats.drain_handoffs += handed.len() as u64;
             let live = self.cluster.live;
             let handoffs = handed.len() as u32;
             self.tracer.emit(|| Event::ScaleDown {
@@ -2451,7 +2351,7 @@ impl<'r> Engine<'r> {
             if !self.cluster.busy[w] {
                 // Nothing in flight: the drain completes on the spot.
                 self.cluster.lifecycle[w] = WorkerState::Down;
-                rt.stats.drains_completed += 1;
+                rt.state.stats.drains_completed += 1;
                 self.tracer.emit(|| Event::DrainComplete {
                     at: now,
                     worker: w as u32,
@@ -2473,7 +2373,7 @@ impl<'r> Engine<'r> {
         self.cluster.alive[w] = true;
         self.cluster.live += 1;
         if let Some(rt) = self.scale.as_mut() {
-            rt.stats.warmups_completed += 1;
+            rt.state.stats.warmups_completed += 1;
             rt.account_live(now, self.cluster.live);
         }
         let live = self.cluster.live;
@@ -2589,7 +2489,7 @@ impl<'r> Engine<'r> {
         }
         let displaced: Vec<Query> = self.worker_queues[w].drain(..).collect();
         if !displaced.is_empty() {
-            hs.monitor.stats.requeued_on_suspect += displaced.len() as u64;
+            hs.monitor.state.stats.requeued_on_suspect += displaced.len() as u64;
             if self.tracer.on {
                 for q in &displaced {
                     self.tracer.emit(|| Event::CrashRequeue {
@@ -2696,7 +2596,7 @@ impl<'r> Engine<'r> {
         let depth = queue.len();
         let front = queue.front().map(|h| h.enqueued_at);
         let policy = &self.resil.policy.admission;
-        if self.resil.admission[slot]
+        if self.resil.state.admission[slot]
             .offer(policy, now, depth, front)
             .is_none()
         {
@@ -2766,7 +2666,7 @@ impl<'r> Engine<'r> {
     fn finish_drain(&mut self, now: Nanos, w: usize) {
         self.cluster.lifecycle[w] = WorkerState::Down;
         if let Some(rt) = self.scale.as_mut() {
-            rt.stats.drains_completed += 1;
+            rt.state.stats.drains_completed += 1;
         }
         self.tracer.emit(|| Event::DrainComplete {
             at: now,
@@ -2915,7 +2815,7 @@ impl<'r> Engine<'r> {
             // model.
             let served_model = match selection {
                 Selection::Serve { model, .. } => {
-                    self.brown.as_mut().map_or(model, |b| b.remap(model))
+                    self.scale.as_mut().map_or(model, |rt| rt.remap(model))
                 }
                 // Only a Serve selection has a model to degrade.
                 _ => 0,
@@ -3041,7 +2941,7 @@ impl<'r> Engine<'r> {
         }
         self.events.push(self.prof, end.0, end.1);
         if self.resil.policy.hedge.enabled {
-            self.resil.service_hist.record(service_ns);
+            self.resil.state.service_hist.record(service_ns);
             if self.n_workers() > 1 {
                 // Hedging past the dispatch's own end would be a no-op;
                 // don't schedule it.
@@ -3053,7 +2953,7 @@ impl<'r> Engine<'r> {
                 }
             }
         }
-        self.cluster.in_flight[w] = Some(InFlight {
+        self.cluster.in_flight[w] = Some(InFlightState {
             model,
             queries,
             started: now,

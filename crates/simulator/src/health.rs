@@ -299,11 +299,9 @@ pub struct ProbeOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthMonitor {
     policy: HealthPolicy,
-    workers: Vec<WorkerHealth>,
-    fleet_ratio: f64,
-    /// Outcome statistics, accumulated here and finalized into the
-    /// report. The engine adds its own attribution (requeues).
-    pub stats: HealthStats,
+    /// Detector run state; its `stats` are finalized into the report,
+    /// and the engine adds its own attribution (requeues) there.
+    pub(crate) state: HealthState,
 }
 
 impl HealthMonitor {
@@ -313,22 +311,24 @@ impl HealthMonitor {
         let interval = policy.probe_interval_s * NANOS_PER_SEC;
         Self {
             policy,
-            workers: vec![
-                WorkerHealth {
-                    last_ack: start,
-                    mean_gap_ns: interval,
-                    breaker: BreakerState::Closed,
-                    opened_at: 0,
-                    half_open_successes: 0,
-                    strikes: 0,
-                    suspected: false,
-                    suspected_since: 0,
-                    suspect_was_genuine: false,
-                };
-                workers
-            ],
-            fleet_ratio: 1.0,
-            stats: HealthStats::default(),
+            state: HealthState {
+                workers: vec![
+                    WorkerHealth {
+                        last_ack: start,
+                        mean_gap_ns: interval,
+                        breaker: BreakerState::Closed,
+                        opened_at: 0,
+                        half_open_successes: 0,
+                        strikes: 0,
+                        suspected: false,
+                        suspected_since: 0,
+                        suspect_was_genuine: false,
+                    };
+                    workers
+                ],
+                fleet_ratio: 1.0,
+                stats: HealthStats::default(),
+            },
         }
     }
 
@@ -340,18 +340,18 @@ impl HealthMonitor {
     /// Whether worker `w` is currently ejected from perceived
     /// membership.
     pub fn suspected(&self, w: usize) -> bool {
-        self.workers[w].suspected
+        self.state.workers[w].suspected
     }
 
     /// Worker `w`'s breaker state.
     pub fn breaker(&self, w: usize) -> BreakerState {
-        self.workers[w].breaker
+        self.state.workers[w].breaker
     }
 
     /// Records a liveness ack and folds the gap into the clamped EWMA.
     fn ack(&mut self, w: usize, now: Nanos) {
         let interval = self.policy.probe_interval_s * NANOS_PER_SEC;
-        let wh = &mut self.workers[w];
+        let wh = &mut self.state.workers[w];
         let gap = now.saturating_sub(wh.last_ack) as f64;
         if gap > 0.0 {
             let mean = wh.mean_gap_ns + self.policy.ewma_alpha * (gap - wh.mean_gap_ns);
@@ -367,7 +367,7 @@ impl HealthMonitor {
             genuine: down_since.is_some(),
             lag_ns: down_since.map_or(0, |d| now.saturating_sub(d)),
         };
-        let wh = &mut self.workers[w];
+        let wh = &mut self.state.workers[w];
         wh.suspected = true;
         wh.suspected_since = now;
         wh.suspect_was_genuine = info.genuine;
@@ -375,28 +375,28 @@ impl HealthMonitor {
         wh.opened_at = now;
         wh.half_open_successes = 0;
         wh.strikes = 0;
-        self.stats.suspects += 1;
-        self.stats.breaker_opens += 1;
+        self.state.stats.suspects += 1;
+        self.state.stats.breaker_opens += 1;
         if info.genuine {
-            self.stats.suspects_genuine += 1;
+            self.state.stats.suspects_genuine += 1;
             let lag_s = info.lag_ns as f64 / NANOS_PER_SEC;
-            self.stats.detection_lag_total_s += lag_s;
-            if lag_s > self.stats.max_detection_lag_s {
-                self.stats.max_detection_lag_s = lag_s;
+            self.state.stats.detection_lag_total_s += lag_s;
+            if lag_s > self.state.stats.max_detection_lag_s {
+                self.state.stats.max_detection_lag_s = lag_s;
             }
         } else {
-            self.stats.suspects_false += 1;
+            self.state.stats.suspects_false += 1;
         }
         info
     }
 
     /// Credits the time worker `w` spent suspected, ending `now`.
     fn credit_suspected_time(&mut self, w: usize, now: Nanos) {
-        let wh = &self.workers[w];
+        let wh = &self.state.workers[w];
         let spent = now.saturating_sub(wh.suspected_since) as f64 / NANOS_PER_SEC;
-        self.stats.suspected_time_s += spent;
+        self.state.stats.suspected_time_s += spent;
         if !wh.suspect_was_genuine {
-            self.stats.false_suspected_time_s += spent;
+            self.state.stats.false_suspected_time_s += spent;
         }
     }
 
@@ -411,22 +411,22 @@ impl HealthMonitor {
         responsive: bool,
         down_since: Option<Nanos>,
     ) -> ProbeOutcome {
-        self.stats.probes_sent += 1;
+        self.state.stats.probes_sent += 1;
         let backoff = (self.policy.open_backoff_s * NANOS_PER_SEC) as Nanos;
         let mut half_opened = false;
-        if self.workers[w].suspected {
+        if self.state.workers[w].suspected {
             // Open → HalfOpen once the backoff elapses; the probe's own
             // outcome then applies in the half-open state.
-            let wh = &mut self.workers[w];
+            let wh = &mut self.state.workers[w];
             if wh.breaker == BreakerState::Open && now >= wh.opened_at.saturating_add(backoff) {
                 wh.breaker = BreakerState::HalfOpen;
                 wh.half_open_successes = 0;
                 half_opened = true;
-                self.stats.breaker_half_opens += 1;
+                self.state.stats.breaker_half_opens += 1;
             }
             let step = if responsive {
                 self.ack(w, now);
-                let wh = &mut self.workers[w];
+                let wh = &mut self.state.workers[w];
                 if wh.breaker == BreakerState::HalfOpen {
                     wh.half_open_successes += 1;
                     if wh.half_open_successes >= self.policy.close_probes {
@@ -434,8 +434,8 @@ impl HealthMonitor {
                         wh.breaker = BreakerState::Closed;
                         wh.suspected = false;
                         wh.half_open_successes = 0;
-                        self.stats.breaker_closes += 1;
-                        self.stats.reinstates += 1;
+                        self.state.stats.breaker_closes += 1;
+                        self.state.stats.reinstates += 1;
                         self.credit_suspected_time(w, now);
                         ProbeStep::Reinstated { suspected_ns }
                     } else {
@@ -446,13 +446,13 @@ impl HealthMonitor {
                     ProbeStep::Ok
                 }
             } else {
-                self.stats.probes_failed += 1;
-                let wh = &mut self.workers[w];
+                self.state.stats.probes_failed += 1;
+                let wh = &mut self.state.workers[w];
                 if wh.breaker == BreakerState::HalfOpen {
                     wh.breaker = BreakerState::Open;
                     wh.opened_at = now;
                     wh.half_open_successes = 0;
-                    self.stats.breaker_opens += 1;
+                    self.state.stats.breaker_opens += 1;
                     ProbeStep::ReOpened
                 } else {
                     ProbeStep::Failed
@@ -467,9 +467,9 @@ impl HealthMonitor {
                 step: ProbeStep::Ok,
             };
         }
-        self.stats.probes_failed += 1;
+        self.state.stats.probes_failed += 1;
         let timeout = (self.policy.probe_timeout_s * NANOS_PER_SEC) as Nanos;
-        let wh = &self.workers[w];
+        let wh = &self.state.workers[w];
         let elapsed = now.saturating_sub(wh.last_ack);
         let phi = elapsed as f64 / wh.mean_gap_ns * core::f64::consts::LOG10_E;
         if elapsed >= timeout && phi >= self.policy.phi_threshold {
@@ -499,20 +499,20 @@ impl HealthMonitor {
         down_since: Option<Nanos>,
     ) -> Option<SuspectInfo> {
         self.ack(w, now);
-        if self.workers[w].suspected || expected_ns == 0 {
+        if self.state.workers[w].suspected || expected_ns == 0 {
             return None;
         }
         let ratio = actual_ns as f64 / expected_ns as f64;
-        let outlier = ratio > self.policy.outlier_factor * self.fleet_ratio;
-        self.fleet_ratio += self.policy.ewma_alpha * (ratio - self.fleet_ratio);
+        let outlier = ratio > self.policy.outlier_factor * self.state.fleet_ratio;
+        self.state.fleet_ratio += self.policy.ewma_alpha * (ratio - self.state.fleet_ratio);
         if outlier {
-            self.stats.outlier_strikes += 1;
-            self.workers[w].strikes += 1;
-            if self.workers[w].strikes >= self.policy.outlier_strikes {
+            self.state.stats.outlier_strikes += 1;
+            self.state.workers[w].strikes += 1;
+            if self.state.workers[w].strikes >= self.policy.outlier_strikes {
                 return Some(self.suspect(w, now, down_since));
             }
         } else {
-            self.workers[w].strikes = 0;
+            self.state.workers[w].strikes = 0;
         }
         None
     }
@@ -527,12 +527,12 @@ impl HealthMonitor {
         down_since: Option<Nanos>,
     ) -> Option<SuspectInfo> {
         self.ack(w, now);
-        self.stats.batch_errors += 1;
-        if self.workers[w].suspected {
+        self.state.stats.batch_errors += 1;
+        if self.state.workers[w].suspected {
             return None;
         }
-        self.workers[w].strikes += 1;
-        if self.workers[w].strikes >= self.policy.outlier_strikes {
+        self.state.workers[w].strikes += 1;
+        if self.state.workers[w].strikes >= self.policy.outlier_strikes {
             return Some(self.suspect(w, now, down_since));
         }
         None
@@ -541,13 +541,13 @@ impl HealthMonitor {
     /// Closes the books at the horizon: open suspicions are credited up
     /// to `horizon` and counted, means are computed.
     pub fn finalize(&mut self, horizon: Nanos) -> HealthStats {
-        for w in 0..self.workers.len() {
-            if self.workers[w].suspected {
+        for w in 0..self.state.workers.len() {
+            if self.state.workers[w].suspected {
                 self.credit_suspected_time(w, horizon);
-                self.stats.suspected_at_end += 1;
+                self.state.stats.suspected_at_end += 1;
             }
         }
-        let mut stats = self.stats;
+        let mut stats = self.state.stats;
         if stats.suspects_genuine > 0 {
             stats.mean_detection_lag_s =
                 stats.detection_lag_total_s / stats.suspects_genuine as f64;
@@ -557,11 +557,7 @@ impl HealthMonitor {
 
     /// Snapshot for checkpointing.
     pub fn snapshot(&self) -> HealthState {
-        HealthState {
-            workers: self.workers.clone(),
-            fleet_ratio: self.fleet_ratio,
-            stats: self.stats,
-        }
+        self.state.clone()
     }
 
     /// Restores a snapshot taken with the same policy and worker count.
@@ -570,16 +566,14 @@ impl HealthMonitor {
     ///
     /// Returns [`SimError::InvalidConfig`] on a worker-count mismatch.
     pub fn restore(&mut self, state: &HealthState) -> Result<(), SimError> {
-        if state.workers.len() != self.workers.len() {
+        if state.workers.len() != self.state.workers.len() {
             return Err(SimError::InvalidConfig(format!(
                 "health snapshot covers {} workers, engine has {}",
                 state.workers.len(),
-                self.workers.len()
+                self.state.workers.len()
             )));
         }
-        self.workers = state.workers.clone();
-        self.fleet_ratio = state.fleet_ratio;
-        self.stats = state.stats;
+        self.state = state.clone();
         Ok(())
     }
 }
@@ -691,7 +685,7 @@ mod tests {
         assert_eq!(info.lag_ns, suspected_at - dead_at);
         assert!(mon.suspected(0));
         assert_eq!(mon.breaker(0), BreakerState::Open);
-        assert_eq!(mon.stats.suspects_genuine, 1);
+        assert_eq!(mon.state.stats.suspects_genuine, 1);
     }
 
     #[test]
@@ -738,9 +732,9 @@ mod tests {
         assert_eq!(mon.breaker(0), BreakerState::Closed);
         // The breaker walked through HalfOpen on the way back.
         assert!(outcomes.iter().any(|(_, o)| o.half_opened));
-        assert_eq!(mon.stats.suspects_false, 1);
-        assert_eq!(mon.stats.reinstates, 1);
-        assert!(mon.stats.false_suspected_time_s > 0.0);
+        assert_eq!(mon.state.stats.suspects_false, 1);
+        assert_eq!(mon.state.stats.reinstates, 1);
+        assert!(mon.state.stats.false_suspected_time_s > 0.0);
     }
 
     #[test]
@@ -758,11 +752,11 @@ mod tests {
             .count();
         assert!(reopened >= 1, "dead trials must re-open the breaker");
         // Every half-open was answered by a re-open; nothing closed.
-        assert_eq!(mon.stats.breaker_half_opens as usize, reopened);
-        assert_eq!(mon.stats.breaker_closes, 0);
+        assert_eq!(mon.state.stats.breaker_half_opens as usize, reopened);
+        assert_eq!(mon.state.stats.breaker_closes, 0);
         assert!(mon.suspected(0));
         // Pairing: opens = initial suspicion + one per re-open.
-        assert_eq!(mon.stats.breaker_opens as usize, 1 + reopened);
+        assert_eq!(mon.state.stats.breaker_opens as usize, 1 + reopened);
     }
 
     #[test]
@@ -789,7 +783,7 @@ mod tests {
         assert!(!info.genuine);
         assert!(mon.suspected(0));
         assert!(!mon.suspected(1));
-        assert_eq!(mon.stats.outlier_strikes, 3);
+        assert_eq!(mon.state.stats.outlier_strikes, 3);
         // A normal completion resets the streak.
         let mut fresh = HealthMonitor::new(p, 1, 0);
         assert!(fresh
@@ -815,7 +809,7 @@ mod tests {
         assert!(mon.observe_error(0, 10 * MS, None).is_none());
         assert!(mon.observe_error(0, 20 * MS, None).is_none());
         assert!(mon.observe_error(0, 30 * MS, None).is_some());
-        assert_eq!(mon.stats.batch_errors, 3);
+        assert_eq!(mon.state.stats.batch_errors, 3);
         assert!(mon.suspected(0));
     }
 
@@ -832,7 +826,7 @@ mod tests {
                 .is_none());
         }
         assert!(mon.suspected(0));
-        assert_eq!(mon.stats.reinstates, 0);
+        assert_eq!(mon.state.stats.reinstates, 0);
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! (paper §3.2) is implemented here; the baselines live in
 //! `ramsis-baselines`.
 
-use ramsis_core::{Decision, DegradablePolicySet, FallbackPolicy, PolicyConfig, PolicySet};
+use ramsis_core::{
+    Decision, DegradablePolicySet, FallbackPolicy, PolicyConfig, PolicySet, WorkerPolicy,
+};
 use ramsis_profiles::WorkerProfile;
 use ramsis_telemetry::{Event, ShedCause};
+use serde::{Deserialize, Serialize};
 
 use crate::metrics::AdaptiveStats;
 use crate::query::nanos_from_secs;
@@ -168,6 +171,22 @@ pub trait ServingScheme {
     }
 }
 
+/// `policy`'s decision for `ctx` as a [`Selection`]: the batch is
+/// clamped to the visible queue, and a drop sheds `1..=ctx.queued`.
+pub(crate) fn policy_selection(policy: &WorkerPolicy, ctx: &SelectionContext) -> Selection {
+    let queued = ctx.queued as u32;
+    match policy.decide(ctx.queued, ctx.earliest_slack_s) {
+        Decision::Wait => Selection::Idle,
+        Decision::Drop { count } => Selection::Drop {
+            count: count.min(queued).max(1),
+        },
+        Decision::Serve { model, batch } => Selection::Serve {
+            model,
+            batch: batch.min(queued),
+        },
+    }
+}
+
 /// The RAMSIS online phase (§3.2): round-robin (or SQF) routing plus
 /// per-worker model selection from the offline-generated policy set,
 /// using "the lowest-load MS policy that meets the anticipated query
@@ -212,17 +231,7 @@ impl ServingScheme for RamsisScheme {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
-        let policy = self.policies.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        policy_selection(self.policies.select(ctx.load_qps), ctx)
     }
 
     /// Pure function of the policy set and context: nothing to capture.
@@ -295,17 +304,7 @@ impl ServingScheme for OnDemandRamsis {
                 self.generated += 1;
             }
         }
-        let policy = self.policies.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        policy_selection(self.policies.select(ctx.load_qps), ctx)
     }
 }
 
@@ -350,17 +349,7 @@ impl ServingScheme for PerWorkerRamsis {
 
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
         let set = &self.sets[ctx.worker % self.sets.len()];
-        let policy = set.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        policy_selection(set.select(ctx.load_qps), ctx)
     }
 
     /// Per-worker sets are configuration; decisions carry no state.
@@ -390,14 +379,25 @@ pub struct DegradingRamsis {
     sets: DegradablePolicySet,
     fallback: FallbackPolicy,
     routing: Routing,
-    live: usize,
-    fallback_decisions: u64,
+    state: DegradingRamsisState,
     /// Whether the most recent `select` was served by the fallback —
     /// transient provenance state, deliberately not checkpointed (it
     /// is rewritten before anyone reads it after a resume).
     last_fallback: bool,
     audit: bool,
     audit_buf: Vec<Event>,
+}
+
+/// The run state [`DegradingRamsis`] checkpoints. The audit buffer is
+/// always drained before a checkpoint can fire (the engine drains after
+/// every scheme callback), and the audit flag is re-armed by
+/// `set_audit` at resume start.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct DegradingRamsisState {
+    /// The live-worker count the scheme targets.
+    live: usize,
+    /// Decisions answered by the fallback policy so far.
+    fallback_decisions: u64,
 }
 
 impl DegradingRamsis {
@@ -410,8 +410,10 @@ impl DegradingRamsis {
             sets,
             fallback,
             routing: Routing::PerWorkerRoundRobin,
-            live,
-            fallback_decisions: 0,
+            state: DegradingRamsisState {
+                live,
+                fallback_decisions: 0,
+            },
             last_fallback: false,
             audit: false,
             audit_buf: Vec::new(),
@@ -420,12 +422,12 @@ impl DegradingRamsis {
 
     /// How many decisions were answered by the fallback policy.
     pub fn fallback_decisions(&self) -> u64 {
-        self.fallback_decisions
+        self.state.fallback_decisions
     }
 
     /// The live-worker count the scheme currently targets.
     pub fn live_workers(&self) -> usize {
-        self.live
+        self.state.live
     }
 }
 
@@ -439,7 +441,7 @@ impl ServingScheme for DegradingRamsis {
     }
 
     fn on_membership_change(&mut self, live_workers: usize) {
-        self.live = live_workers;
+        self.state.live = live_workers;
     }
 
     fn set_audit(&mut self, enabled: bool) {
@@ -453,13 +455,13 @@ impl ServingScheme for DegradingRamsis {
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
         // Belt and braces: the context always carries the live count,
         // so even a scheme cloned mid-run cannot act on a stale one.
-        self.live = ctx.live_workers;
+        self.state.live = ctx.live_workers;
         let set = self
             .sets
-            .for_workers(self.live)
+            .for_workers(self.state.live)
             .filter(|set| set.covers(ctx.load_qps));
         let Some(set) = set else {
-            self.fallback_decisions += 1;
+            self.state.fallback_decisions += 1;
             self.last_fallback = true;
             if self.audit {
                 self.audit_buf.push(Event::FallbackEngaged {
@@ -474,47 +476,19 @@ impl ServingScheme for DegradingRamsis {
             };
         };
         self.last_fallback = false;
-        let policy = set.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        policy_selection(set.select(ctx.load_qps), ctx)
     }
 
     fn last_select_was_fallback(&self) -> bool {
         self.last_fallback
     }
 
-    /// Mutable run state: the targeted live count and the fallback
-    /// counter. The audit buffer is always drained before a checkpoint
-    /// can fire (the engine drains after every scheme callback), and
-    /// the audit flag is re-armed by `set_audit` at resume start.
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        Some(serde::Value::Object(vec![
-            ("live".to_string(), serde::Value::U64(self.live as u64)),
-            (
-                "fallback_decisions".to_string(),
-                serde::Value::U64(self.fallback_decisions),
-            ),
-        ]))
+        Some(self.state.to_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), String> {
-        use serde::Deserialize;
-        let field = |name: &str| {
-            state
-                .field(name)
-                .ok_or_else(|| format!("DegradingRamsis state: missing `{name}`"))
-        };
-        self.live = usize::from_value(field("live")?).map_err(|e| e.to_string())?;
-        self.fallback_decisions =
-            u64::from_value(field("fallback_decisions")?).map_err(|e| e.to_string())?;
+        self.state = DegradingRamsisState::from_value(state).map_err(|e| e.to_string())?;
         Ok(())
     }
 }

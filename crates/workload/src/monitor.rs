@@ -9,6 +9,7 @@
 //! [`OracleMonitor`].
 
 use ramsis_stats::summary::MovingAverage;
+use serde::{Deserialize, Serialize};
 
 use crate::trace::Trace;
 
@@ -69,8 +70,16 @@ pub trait LoadEstimator {
 /// [`Self::warmed_up`] turns true.
 #[derive(Debug, Clone)]
 pub struct LoadMonitor {
-    window: MovingAverage,
+    state: LoadMonitorState,
     window_s: f64,
+}
+
+/// The run state a [`LoadMonitor`] checkpoints: the event queues of
+/// both moving-average windows (their lengths are constructor
+/// arguments).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct LoadMonitorState {
+    window: MovingAverage,
     /// A second, longer window recorded in parallel; comparing its rate
     /// against the primary window's yields the load trend. Never
     /// consulted by [`LoadEstimator::estimate`], so adding it changed no
@@ -102,9 +111,11 @@ impl LoadMonitor {
     /// Panics if `window_s` is not strictly positive and finite.
     pub fn with_window(window_s: f64) -> Self {
         Self {
-            window: MovingAverage::new(window_s),
+            state: LoadMonitorState {
+                window: MovingAverage::new(window_s),
+                trend_window: MovingAverage::new(window_s * Self::TREND_WINDOW_FACTOR),
+            },
             window_s,
-            trend_window: MovingAverage::new(window_s * Self::TREND_WINDOW_FACTOR),
         }
     }
 
@@ -124,12 +135,12 @@ impl Default for LoadMonitor {
 
 impl LoadEstimator for LoadMonitor {
     fn record_arrival(&mut self, now: f64) {
-        self.window.record(now);
-        self.trend_window.record(now);
+        self.state.window.record(now);
+        self.state.trend_window.record(now);
     }
 
     fn estimate(&mut self, now: f64) -> f64 {
-        let raw = self.window.rate(now);
+        let raw = self.state.window.rate(now);
         if self.warmed_up(now) {
             return raw;
         }
@@ -147,32 +158,18 @@ impl LoadEstimator for LoadMonitor {
         if now < long_s {
             return None;
         }
-        let short = self.window.rate(now);
-        let long = self.trend_window.rate(now);
+        let short = self.state.window.rate(now);
+        let long = self.state.trend_window.rate(now);
         let gap_s = (long_s - self.window_s) / 2.0;
         Some((short - long) / gap_s)
     }
 
-    /// Both moving-average windows (the window lengths live in the
-    /// constructor arguments, but the event queues are run state).
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        use serde::Serialize;
-        Some(serde::Value::Object(vec![
-            ("window".to_string(), self.window.to_value()),
-            ("trend_window".to_string(), self.trend_window.to_value()),
-        ]))
+        Some(self.state.to_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), String> {
-        use serde::Deserialize;
-        let field = |name: &str| {
-            state
-                .field(name)
-                .ok_or_else(|| format!("LoadMonitor state: missing `{name}`"))
-        };
-        self.window = MovingAverage::from_value(field("window")?).map_err(|e| e.to_string())?;
-        self.trend_window =
-            MovingAverage::from_value(field("trend_window")?).map_err(|e| e.to_string())?;
+        self.state = LoadMonitorState::from_value(state).map_err(|e| e.to_string())?;
         Ok(())
     }
 }

@@ -59,12 +59,26 @@ stage "perf-smoke" perf_smoke
 # dimension on (each scenario also runs durably, is killed at a random
 # checkpoint, and must resume to a byte-identical report and telemetry
 # suffix), then the checkpoint-overhead gate in smoke mode (report
-# byte-identity across recorder tiers + the capture-cost ceiling).
+# byte-identity across recorder tiers + the capture-cost ceiling), then
+# a CLI round trip through the files: a durable run writes its snapshot
+# and telemetry log, `replay` checks they agree, and a resume on the
+# same log (with a torn tail appended, as a kill mid-write leaves it)
+# must reproduce the uninterrupted run's report and log byte for byte.
 durability_smoke() {
     local out
     out="$(mktemp -d)"
     cargo run -q -p ramsis-cli -- chaos --runs 25 --seed 11 --kill-resume
     cargo run --release -q -p ramsis-bench --bin checkpoint_overhead -- --smoke --out "${out}"
+    local run=(--m JF --trace constant --load 100 --duration 8 --task image --SLO 150
+        --worker 4 --checkpoint "${out}/ckpt.json" --checkpoint-every 500
+        --telemetry "${out}/t.jsonl")
+    cargo run --release -q -p ramsis-cli -- sim "${run[@]}" --out "${out}/full"
+    cp "${out}/t.jsonl" "${out}/full.jsonl"
+    cargo run --release -q -p ramsis-cli -- replay "${out}/t.jsonl" --snapshot "${out}/ckpt.json"
+    printf '{"at":' >> "${out}/t.jsonl"
+    cargo run --release -q -p ramsis-cli -- sim "${run[@]}" --out "${out}/resumed" --resume true
+    cmp "${out}/full.jsonl" "${out}/t.jsonl"
+    cmp "${out}"/full/results/*.json "${out}"/resumed/results/*.json
     rm -rf "${out}"
 }
 stage "durability-smoke" durability_smoke
