@@ -116,7 +116,8 @@ fn main() {
     // enough to cross 100k engine events at least once (~45 s at
     // 1 500 QPS).
     let (duration_s, reps) = if smoke { (45.0, 3) } else { (300.0, 5) };
-    let interval = CheckpointPolicy::default().every_events;
+    let cadence = CheckpointPolicy::default();
+    let interval = cadence.every_events;
 
     let profile = build_profile(task, slo_s);
     let trace = Trace::constant(load, duration_s);
@@ -144,8 +145,7 @@ fn main() {
     // One profiled durable run; the recorder tier is the only variable.
     // Returns (checkpoint-phase seconds, events processed, report).
     let durable = |recorder: &mut dyn CheckpointRecorder| -> (f64, u64, SimulationReport) {
-        let config = base_config.with_checkpoints(CheckpointPolicy::every_events(interval));
-        let sim = Simulation::new(&profile, config).expect("valid simulation config");
+        let sim = Simulation::new(&profile, base_config).expect("valid simulation config");
         let mut scheme = JellyfishPlus::new(&profile, workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let mut prof = Profiler::on();
@@ -154,7 +154,7 @@ fn main() {
                 RunSpec::trace(&trace)
                     .faults(&plan)
                     .profiler(&mut prof)
-                    .checkpoints(recorder),
+                    .checkpoints(recorder, cadence),
                 &mut scheme,
                 &mut monitor,
             )

@@ -141,9 +141,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     {
         config.latency = LatencyMode::Stochastic;
     }
-    if ckpt_path.is_some() {
-        config = config.with_checkpoints(CheckpointPolicy::every_events(ckpt_every));
-    }
     let snapshot = match (resuming, ckpt_path) {
         (true, Some(p)) => Some(EngineSnapshot::read(Path::new(p)).map_err(|e| e.to_string())?),
         (true, None) => return Err("--resume requires --checkpoint PATH".into()),
@@ -193,7 +190,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let mut spec = RunSpec::trace(&trace)
             .faults(&plan)
             .telemetry(sink)
-            .checkpoints(&mut recorder);
+            .checkpoints(&mut recorder, CheckpointPolicy::every_events(ckpt_every));
         if let Some(snap) = &snapshot {
             spec = spec.resume_from(snap);
         }

@@ -3,7 +3,7 @@
 //! and fault/scale/brownout windows.
 //!
 //! ```text
-//! ramsis-cli why decisions.jsonl --telemetry trace.jsonl [--top N] [--budget FRAC] [--json]
+//! ramsis-cli why decisions.jsonl --telemetry trace.{jsonl,bin} [--top N] [--budget FRAC] [--json]
 //! ramsis-cli why --counterfactual --m RAMSIS --trace constant --load 80 [--json]
 //! ```
 //!
@@ -31,9 +31,8 @@ use ramsis_sim::{
     SimulationConfig,
 };
 use ramsis_telemetry::{
-    burn_analysis, parse_decisions_tolerant, parse_jsonl_tolerant, reconstruct_spans,
-    BurnAlertKind, BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan,
-    SpanOutcome,
+    burn_analysis, parse_decisions_tolerant, parse_tolerant, reconstruct_spans, BurnAlertKind,
+    BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan, SpanOutcome,
 };
 use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
 use serde::Serialize;
@@ -320,9 +319,8 @@ fn run_log(args: &[String], json: bool) -> Result<i32, String> {
     if decisions.torn_tail.is_some() {
         eprintln!("warning: decision log has a torn final record (ignored)");
     }
-    let trace_text =
-        std::fs::read_to_string(&trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-    let parsed = parse_jsonl_tolerant(&trace_text)?;
+    let trace_bytes = std::fs::read(&trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
+    let parsed = parse_tolerant(&trace_bytes).map_err(|e| format!("{trace_path}: {e}"))?;
     if parsed.torn_tail.is_some() {
         eprintln!("warning: telemetry trace has a torn final record (ignored)");
     }

@@ -108,11 +108,12 @@ commands:
            simulations twice each and check determinism, telemetry
            conservation, counter agreement, hedge consistency,
            admission bounds, scale-event accounting,
-           failure-detection bounds, and autoscaler-off/health-off
-           bit-identity (--runs N, --seed S, --json; --kill-resume
-           adds the durability dimension: kill each run at a random
-           checkpoint and demand byte-identical resume; --health
-           forces the failure detector on every run)
+           failure-detection bounds, and no autoscale or health
+           output without those policies (--runs N, --seed S,
+           --json; --kill-resume adds the durability dimension:
+           kill each run at a random checkpoint and demand
+           byte-identical resume; --health forces the failure
+           detector on every run)
   autoscale drive the fault-aware autoscaler over a diurnal trace and
            print the pool/brownout summary plus the scaling timeline
            (--trough QPS, --swing X, --min/--max N, --target QPS,

@@ -30,10 +30,10 @@
 //! Everything here is pure arithmetic over the engine's deterministic
 //! signals (simulated time, the seeded load estimate, integer pool
 //! counts) — no RNG, no wall clock — so seeded runs stay byte-identical,
-//! and with [`AutoscalePolicy::enabled`] false the engine schedules no
+//! and with no [`AutoscalePolicy`] configured the engine schedules no
 //! controller events at all and takes exactly its pre-autoscale paths.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::SimError;
 
@@ -67,8 +67,6 @@ impl WorkerState {
 /// [`AutoscalePolicy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BrownoutPolicy {
-    /// Master switch; `false` never degrades model selection.
-    pub enabled: bool,
     /// Load-to-capacity ratio at or above which a sustained overload
     /// escalates the ladder one rung.
     pub enter_ratio: f64,
@@ -86,7 +84,6 @@ pub struct BrownoutPolicy {
 impl Default for BrownoutPolicy {
     fn default() -> Self {
         Self {
-            enabled: true,
             enter_ratio: 1.25,
             exit_ratio: 0.85,
             confirm: 4,
@@ -96,13 +93,10 @@ impl Default for BrownoutPolicy {
 }
 
 /// Autoscaler configuration, hanging off
-/// [`crate::SimulationConfig::autoscale`]. The default disables the
-/// whole subsystem and reproduces the fixed-pool engine bit-for-bit.
+/// [`crate::SimulationConfig::autoscale`]; without one the pool is
+/// fixed and membership is left entirely to fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalePolicy {
-    /// Master switch; `false` (default) schedules no controller ticks
-    /// and leaves membership entirely to fault injection.
-    pub enabled: bool,
     /// Floor on the pool: scale-in never drains below this many Live
     /// workers (crashes can still go lower; the controller then scales
     /// back up — that is the fault-aware part).
@@ -128,14 +122,14 @@ pub struct AutoscalePolicy {
     pub cooldown_s: f64,
     /// Most workers one committed action may add or drain.
     pub max_step: usize,
-    /// The overload brownout ladder.
-    pub brownout: BrownoutPolicy,
+    /// The overload brownout ladder; `None` never degrades model
+    /// selection.
+    pub brownout: Option<BrownoutPolicy>,
 }
 
 impl Default for AutoscalePolicy {
     fn default() -> Self {
         Self {
-            enabled: false,
             min_workers: 1,
             max_workers: 8,
             target_qps_per_worker: 100.0,
@@ -145,17 +139,16 @@ impl Default for AutoscalePolicy {
             down_confirm: 8,
             cooldown_s: 1.0,
             max_step: 4,
-            brownout: BrownoutPolicy::default(),
+            brownout: Some(BrownoutPolicy::default()),
         }
     }
 }
 
 impl AutoscalePolicy {
-    /// An enabled policy with the default knobs over the given pool
-    /// bounds — the one-liner used by benches, the CLI, and chaos.
+    /// A policy with the default knobs over the given pool bounds — the
+    /// one-liner used by benches, the CLI, and chaos.
     pub fn elastic(min_workers: usize, max_workers: usize, target_qps_per_worker: f64) -> Self {
         Self {
-            enabled: true,
             min_workers,
             max_workers,
             target_qps_per_worker,
@@ -163,19 +156,15 @@ impl AutoscalePolicy {
         }
     }
 
-    /// Checks the knobs of an *enabled* policy: pool bounds
-    /// (`1 ≤ min ≤ max`), a positive capacity target and tick period, a
-    /// non-negative finite warm-up and cooldown, non-zero confirmation
-    /// counts and step, and a well-ordered brownout Schmitt trigger.
-    /// A disabled policy is always valid (its knobs are never read).
+    /// Checks the knobs: pool bounds (`1 ≤ min ≤ max`), a positive
+    /// capacity target and tick period, a non-negative finite warm-up
+    /// and cooldown, non-zero confirmation counts and step, and a
+    /// well-ordered brownout Schmitt trigger.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<(), SimError> {
-        if !self.enabled {
-            return Ok(());
-        }
         let bad = |msg: String| Err(SimError::InvalidConfig(msg));
         if self.min_workers < 1 {
             return bad("autoscale: min_workers must be at least 1".to_string());
@@ -214,16 +203,16 @@ impl AutoscalePolicy {
         if self.max_step == 0 {
             return bad("autoscale: max_step must be at least 1".to_string());
         }
-        if self.brownout.enabled {
-            pos("brownout enter_ratio", self.brownout.enter_ratio)?;
-            pos("brownout exit_ratio", self.brownout.exit_ratio)?;
-            if self.brownout.exit_ratio >= self.brownout.enter_ratio {
+        if let Some(brownout) = &self.brownout {
+            pos("brownout enter_ratio", brownout.enter_ratio)?;
+            pos("brownout exit_ratio", brownout.exit_ratio)?;
+            if brownout.exit_ratio >= brownout.enter_ratio {
                 return bad(format!(
                     "autoscale: brownout needs exit_ratio < enter_ratio, got {} >= {}",
-                    self.brownout.exit_ratio, self.brownout.enter_ratio
+                    brownout.exit_ratio, brownout.enter_ratio
                 ));
             }
-            if self.brownout.confirm == 0 {
+            if brownout.confirm == 0 {
                 return bad("autoscale: brownout confirm must be at least 1".to_string());
             }
         }
@@ -270,7 +259,7 @@ pub trait Autoscaler {
 /// confirmation in each direction and a cooldown between actions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HysteresisController {
-    policy: AutoscalePolicy,
+    policy: AutoscaleV2,
     /// +1 while a scale-up is pending confirmation, -1 for scale-in,
     /// 0 when the desired size matches the current one.
     pending_dir: i8,
@@ -283,7 +272,7 @@ impl HysteresisController {
     /// Creates the controller. The policy should already be validated.
     pub fn new(policy: AutoscalePolicy) -> Self {
         Self {
-            policy,
+            policy: AutoscaleV2(policy),
             pending_dir: 0,
             pending_ticks: 0,
             last_action_s: None,
@@ -292,27 +281,29 @@ impl HysteresisController {
 
     /// The policy driving this controller.
     pub fn policy(&self) -> &AutoscalePolicy {
-        &self.policy
+        &self.policy.0
     }
 
     /// The raw (unconfirmed) target for a signal: load anticipated over
     /// the warm-up horizon divided by the per-worker capacity target,
     /// clamped to the pool bounds.
     pub fn raw_target(&self, sig: &ScaleSignal) -> usize {
-        let anticipated = sig.load_qps + sig.trend_qps_per_s.max(0.0) * self.policy.warmup_s;
-        let raw = (anticipated / self.policy.target_qps_per_worker).ceil();
+        let p = &self.policy.0;
+        let anticipated = sig.load_qps + sig.trend_qps_per_s.max(0.0) * p.warmup_s;
+        let raw = (anticipated / p.target_qps_per_worker).ceil();
         let raw = if raw.is_finite() && raw >= 0.0 {
             raw as usize
         } else {
-            self.policy.max_workers
+            p.max_workers
         };
-        raw.clamp(self.policy.min_workers, self.policy.max_workers)
+        raw.clamp(p.min_workers, p.max_workers)
     }
 }
 
 impl Autoscaler for HysteresisController {
     fn desired_workers(&mut self, sig: &ScaleSignal) -> usize {
-        let current = (sig.live + sig.warming).clamp(0, self.policy.max_workers);
+        let p = self.policy.0;
+        let current = (sig.live + sig.warming).clamp(0, p.max_workers);
         let target = self.raw_target(sig);
         let dir: i8 = match target.cmp(&current) {
             std::cmp::Ordering::Greater => 1,
@@ -322,7 +313,7 @@ impl Autoscaler for HysteresisController {
         if dir == 0 {
             self.pending_dir = 0;
             self.pending_ticks = 0;
-            return current.clamp(self.policy.min_workers, self.policy.max_workers);
+            return current.clamp(p.min_workers, p.max_workers);
         }
         if dir == self.pending_dir {
             self.pending_ticks += 1;
@@ -331,17 +322,17 @@ impl Autoscaler for HysteresisController {
             self.pending_ticks = 1;
         }
         let confirm = if dir > 0 {
-            self.policy.up_confirm
+            p.up_confirm
         } else {
-            self.policy.down_confirm
+            p.down_confirm
         };
         let cooled = self
             .last_action_s
-            .is_none_or(|t| sig.now_s - t >= self.policy.cooldown_s);
+            .is_none_or(|t| sig.now_s - t >= p.cooldown_s);
         if self.pending_ticks < confirm || !cooled {
-            return current.clamp(self.policy.min_workers, self.policy.max_workers);
+            return current.clamp(p.min_workers, p.max_workers);
         }
-        let step = target.abs_diff(current).min(self.policy.max_step);
+        let step = target.abs_diff(current).min(p.max_step);
         let next = if dir > 0 {
             current + step
         } else {
@@ -350,7 +341,7 @@ impl Autoscaler for HysteresisController {
         self.last_action_s = Some(sig.now_s);
         self.pending_dir = 0;
         self.pending_ticks = 0;
-        next.clamp(self.policy.min_workers, self.policy.max_workers)
+        next.clamp(p.min_workers, p.max_workers)
     }
 
     fn name(&self) -> &'static str {
@@ -380,7 +371,7 @@ pub enum BrownoutTransition {
 /// degradation sacrifices accuracy before any query is shed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrownoutLadder {
-    policy: BrownoutPolicy,
+    policy: BrownoutV2,
     max_rung: u32,
     rung: u32,
     above_ticks: u32,
@@ -390,15 +381,15 @@ pub struct BrownoutLadder {
 impl BrownoutLadder {
     /// Creates the ladder; `profile_rungs` is the number of useful rungs
     /// the model set supports (`n_models - 1`). A `max_rung` of 0 in the
-    /// policy means "all of them".
-    pub fn new(policy: BrownoutPolicy, profile_rungs: u32) -> Self {
-        let max_rung = if policy.max_rung == 0 {
-            profile_rungs
-        } else {
-            policy.max_rung.min(profile_rungs)
+    /// policy means "all of them"; without a policy the ladder never
+    /// moves.
+    pub fn new(policy: Option<BrownoutPolicy>, profile_rungs: u32) -> Self {
+        let max_rung = match policy.unwrap_or_default().max_rung {
+            0 => profile_rungs,
+            cap => cap.min(profile_rungs),
         };
         Self {
-            policy,
+            policy: BrownoutV2(policy),
             max_rung,
             rung: 0,
             above_ticks: 0,
@@ -420,7 +411,8 @@ impl BrownoutLadder {
     /// live pool's capacity. Returns a committed transition, if any
     /// (at most one rung per tick).
     pub fn observe(&mut self, load_qps: f64, capacity_qps: f64) -> Option<BrownoutTransition> {
-        if !self.policy.enabled || self.max_rung == 0 {
+        let policy = self.policy.0?;
+        if self.max_rung == 0 {
             return None;
         }
         let ratio = if capacity_qps > 0.0 {
@@ -430,26 +422,26 @@ impl BrownoutLadder {
         } else {
             0.0
         };
-        if ratio >= self.policy.enter_ratio {
+        if ratio >= policy.enter_ratio {
             self.below_ticks = 0;
             if self.rung >= self.max_rung {
                 self.above_ticks = 0;
                 return None;
             }
             self.above_ticks += 1;
-            if self.above_ticks >= self.policy.confirm {
+            if self.above_ticks >= policy.confirm {
                 self.above_ticks = 0;
                 self.rung += 1;
                 return Some(BrownoutTransition::Enter { rung: self.rung });
             }
-        } else if ratio <= self.policy.exit_ratio {
+        } else if ratio <= policy.exit_ratio {
             self.above_ticks = 0;
             if self.rung == 0 {
                 self.below_ticks = 0;
                 return None;
             }
             self.below_ticks += 1;
-            if self.below_ticks >= self.policy.confirm {
+            if self.below_ticks >= policy.confirm {
                 self.below_ticks = 0;
                 let left = self.rung;
                 self.rung -= 1;
@@ -461,6 +453,67 @@ impl BrownoutLadder {
             self.below_ticks = 0;
         }
         None
+    }
+}
+
+// Snapshot format v2 (`crate::checkpoint::SNAPSHOT_VERSION`) predates
+// "off is `None`": it writes the controller's and the ladder's policies
+// with a leading `enabled` flag, and an absent brownout policy as a
+// disabled one with the default knobs. The two wrappers below keep
+// those bytes; a controller exists only when autoscaling is on, so its
+// flag is always true.
+
+/// The controller's policy, serialized in the snapshot layout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct AutoscaleV2(AutoscalePolicy);
+
+/// The ladder's optional policy, serialized in the snapshot layout.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BrownoutV2(Option<BrownoutPolicy>);
+
+/// `v` with a leading `enabled` flag.
+fn flagged(v: Value, enabled: bool) -> Value {
+    let Value::Object(mut fields) = v else {
+        return v;
+    };
+    fields.insert(0, ("enabled".to_string(), Value::Bool(enabled)));
+    Value::Object(fields)
+}
+
+impl Serialize for AutoscaleV2 {
+    fn to_value(&self) -> Value {
+        let mut v = flagged(self.0.to_value(), true);
+        if let Value::Object(fields) = &mut v {
+            if let Some((_, brownout)) = fields.iter_mut().find(|(k, _)| k == "brownout") {
+                *brownout = BrownoutV2(self.0.brownout).to_value();
+            }
+        }
+        v
+    }
+}
+
+impl Deserialize for AutoscaleV2 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mut policy = AutoscalePolicy::from_value(v)?;
+        if let Some(brownout) = v.field("brownout") {
+            policy.brownout = BrownoutV2::from_value(brownout)?.0;
+        }
+        Ok(Self(policy))
+    }
+}
+
+impl Serialize for BrownoutV2 {
+    fn to_value(&self) -> Value {
+        flagged(self.0.unwrap_or_default().to_value(), self.0.is_some())
+    }
+}
+
+impl Deserialize for BrownoutV2 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if v.field("enabled") == Some(&Value::Bool(false)) {
+            return Ok(Self(None));
+        }
+        BrownoutPolicy::from_value(v).map(|p| Self(Some(p)))
     }
 }
 
@@ -518,10 +571,8 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_disabled_and_valid() {
-        let p = AutoscalePolicy::default();
-        assert!(!p.enabled);
-        assert!(p.validate().is_ok());
+    fn default_and_elastic_policies_are_valid() {
+        assert!(AutoscalePolicy::default().validate().is_ok());
         assert!(AutoscalePolicy::elastic(1, 4, 50.0).validate().is_ok());
     }
 
@@ -547,16 +598,9 @@ mod tests {
         p.max_step = 0;
         assert!(p.validate().is_err(), "zero step");
         p = AutoscalePolicy::elastic(1, 4, 50.0);
-        p.brownout.exit_ratio = p.brownout.enter_ratio;
+        let brownout = p.brownout.as_mut().expect("elastic has a ladder");
+        brownout.exit_ratio = brownout.enter_ratio;
         assert!(p.validate().is_err(), "Schmitt trigger inverted");
-        // Garbage behind the off switch never fails a run.
-        p = AutoscalePolicy {
-            enabled: false,
-            min_workers: 0,
-            warmup_s: f64::NAN,
-            ..AutoscalePolicy::default()
-        };
-        assert!(p.validate().is_ok());
     }
 
     #[test]
@@ -640,13 +684,12 @@ mod tests {
     #[test]
     fn ladder_escalates_and_deescalates_with_hysteresis() {
         let policy = BrownoutPolicy {
-            enabled: true,
             enter_ratio: 1.2,
             exit_ratio: 0.8,
             confirm: 2,
             max_rung: 0,
         };
-        let mut ladder = BrownoutLadder::new(policy, 3);
+        let mut ladder = BrownoutLadder::new(Some(policy), 3);
         assert_eq!(ladder.max_rung(), 3);
         assert_eq!(ladder.observe(130.0, 100.0), None, "first sighting");
         assert_eq!(
@@ -678,13 +721,12 @@ mod tests {
     #[test]
     fn ladder_saturates_at_max_rung_and_handles_zero_capacity() {
         let policy = BrownoutPolicy {
-            enabled: true,
             enter_ratio: 1.2,
             exit_ratio: 0.8,
             confirm: 1,
             max_rung: 2,
         };
-        let mut ladder = BrownoutLadder::new(policy, 5);
+        let mut ladder = BrownoutLadder::new(Some(policy), 5);
         assert_eq!(ladder.max_rung(), 2);
         // Zero capacity with load reads as infinite overload.
         assert!(ladder.observe(10.0, 0.0).is_some());
@@ -692,24 +734,42 @@ mod tests {
         assert_eq!(ladder.rung(), 2);
         assert_eq!(ladder.observe(10.0, 0.0), None, "saturated");
         // Zero load, zero capacity is idle, not overload.
-        let mut idle = BrownoutLadder::new(policy, 5);
+        let mut idle = BrownoutLadder::new(Some(policy), 5);
         assert_eq!(idle.observe(0.0, 0.0), None);
         assert_eq!(idle.rung(), 0);
     }
 
     #[test]
-    fn disabled_ladder_never_moves() {
-        let mut ladder = BrownoutLadder::new(
-            BrownoutPolicy {
-                enabled: false,
-                ..BrownoutPolicy::default()
-            },
-            4,
-        );
+    fn absent_ladder_never_moves_and_keeps_the_snapshot_layout() {
+        let mut ladder = BrownoutLadder::new(None, 4);
         for _ in 0..100 {
             assert_eq!(ladder.observe(1e9, 1.0), None);
         }
         assert_eq!(ladder.rung(), 0);
+        // Format v2 stores the absent policy as a disabled one with the
+        // default knobs.
+        let json = serde_json::to_string(&ladder).unwrap();
+        assert_eq!(
+            json,
+            "{\"policy\":{\"enabled\":false,\"enter_ratio\":1.25,\"exit_ratio\":0.85,\
+             \"confirm\":4,\"max_rung\":0},\"max_rung\":4,\"rung\":0,\"above_ticks\":0,\
+             \"below_ticks\":0}"
+        );
+        assert_eq!(
+            serde_json::from_str::<BrownoutLadder>(&json).unwrap(),
+            ladder
+        );
+        let mut policy = AutoscalePolicy::elastic(1, 4, 50.0);
+        for brownout in [policy.brownout, None] {
+            policy.brownout = brownout;
+            let controller = HysteresisController::new(policy);
+            let json = serde_json::to_string(&controller).unwrap();
+            assert!(json.starts_with("{\"policy\":{\"enabled\":true,"), "{json}");
+            let flag = format!("\"brownout\":{{\"enabled\":{},", brownout.is_some());
+            assert!(json.contains(&flag), "{json}");
+            let back: HysteresisController = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, controller);
+        }
     }
 
     #[test]

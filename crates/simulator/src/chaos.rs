@@ -17,7 +17,7 @@
 //!   the resilience counters.
 //! - **Hedge consistency**: cancels and wins never exceed issues, and
 //!   every win implies a cancel.
-//! - **Admission bounds**: with admission enabled, no enqueue ever
+//! - **Admission bounds**: with admission on, no enqueue ever
 //!   lands beyond the queue cap (the limbo queue is exempt — it exists
 //!   precisely because no admissible queue remains).
 //! - **Kill–resume identity** ([`ChaosConfig::kill_resume`]): the run
@@ -37,8 +37,8 @@
 //!   every explicit crash with enough probe runway is suspected within
 //!   the bound and every false suspicion is reinstated within
 //!   [`HealthPolicy::reinstate_bound_s`] of the last gray disturbance;
-//!   with the detector off (the default), the run is byte-identical to
-//!   the oracle engine and emits no health telemetry at all.
+//!   without a detector the run has no health block and emits no
+//!   health telemetry at all.
 //!
 //! Any violated invariant is reported as a [`ChaosFailure`] carrying
 //! the *run's own seed*, so a red sweep is reproducible with a single
@@ -57,13 +57,15 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::autoscale::AutoscalePolicy;
+use crate::autoscale::{AutoscalePolicy, BrownoutPolicy};
 use crate::checkpoint::{CheckpointPolicy, MemoryRecorder};
 use crate::engine::{ForcedDecision, RunSpec, Simulation, SimulationConfig};
 use crate::faults::{CrashPolicy, FaultEvent, FaultPlan};
 use crate::health::HealthPolicy;
 use crate::metrics::SimulationReport;
-use crate::resilience::{splitmix64, ResiliencePolicy};
+use crate::resilience::{
+    splitmix64, AdmissionPolicy, HedgePolicy, ResiliencePolicy, TimeoutPolicy,
+};
 use crate::scheme::{Routing, Selection, SelectionContext, ServingScheme};
 use crate::SimError;
 
@@ -278,7 +280,7 @@ impl ChaosConfig {
             config = config.with_health(h);
         }
         let sim = Simulation::new(profile, config)?;
-        let run_with = |sim: &Simulation| -> Result<(SimulationReport, Vec<Event>), SimError> {
+        let run_once = || -> Result<(SimulationReport, Vec<Event>), SimError> {
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
@@ -286,7 +288,6 @@ impl ChaosConfig {
             let r = sim.execute(spec, &mut scheme, &mut monitor)?;
             Ok((r, sink.into_events()))
         };
-        let run_once = || run_with(&sim);
         let (mut r1, e1) = run_once()?;
         let (mut r2, e2) = run_once()?;
         if self.sabotage {
@@ -316,58 +317,6 @@ impl ChaosConfig {
             &plan,
             &mut fail,
         );
-
-        // Autoscaler-off bit-identity: attaching a *disabled* autoscale
-        // policy must leave the run byte-identical to the plain engine —
-        // no extra events, no extra report fields. Checked on the runs
-        // that did not draw an elastic policy (the plain run doubles as
-        // the reference).
-        if autoscale.is_none() {
-            let off = Simulation::new(profile, config.with_autoscale(AutoscalePolicy::default()))?;
-            let (r_off, e_off) = run_with(&off)?;
-            let j_plain = serde_json::to_string(&r1).expect("reports serialize");
-            let j_off = serde_json::to_string(&r_off).expect("reports serialize");
-            if j_plain != j_off {
-                fail("autoscale-off-identity", format!("{j_plain} != {j_off}"));
-            }
-            if e1 != e_off {
-                fail(
-                    "autoscale-off-identity",
-                    format!(
-                        "event streams diverge ({} plain vs {} disabled-autoscale events)",
-                        e1.len(),
-                        e_off.len()
-                    ),
-                );
-            }
-        }
-
-        // Detector-off bit-identity: a *disabled* health policy — even
-        // with every knob set to non-default values — must leave the
-        // run byte-identical to the oracle engine. Checked on the runs
-        // that did not draw a detector (the plain run is the
-        // reference).
-        if health.is_none() {
-            let mut off_policy = HealthPolicy::probing(0.013);
-            off_policy.enabled = false;
-            let off = Simulation::new(profile, config.with_health(off_policy))?;
-            let (r_off, e_off) = run_with(&off)?;
-            let j_plain = serde_json::to_string(&r1).expect("reports serialize");
-            let j_off = serde_json::to_string(&r_off).expect("reports serialize");
-            if j_plain != j_off {
-                fail("health-off-identity", format!("{j_plain} != {j_off}"));
-            }
-            if e1 != e_off {
-                fail(
-                    "health-off-identity",
-                    format!(
-                        "event streams diverge ({} plain vs {} disabled-health events)",
-                        e1.len(),
-                        e_off.len()
-                    ),
-                );
-            }
-        }
 
         // Decision provenance (ISSUE 8): recording the decision stream
         // must not perturb the run, and forcing a randomly chosen
@@ -567,10 +516,6 @@ impl ChaosConfig {
         let mut resumed_from = None;
         if self.kill_resume {
             let every = rng.gen_range(8..96u64);
-            let durable = Simulation::new(
-                profile,
-                config.with_checkpoints(CheckpointPolicy::every_events(every)),
-            )?;
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
@@ -578,8 +523,8 @@ impl ChaosConfig {
             let spec = RunSpec::trace(&trace)
                 .faults(&plan)
                 .telemetry(&mut sink)
-                .checkpoints(&mut rec);
-            let full = durable.execute(spec, &mut scheme, &mut monitor)?;
+                .checkpoints(&mut rec, CheckpointPolicy::every_events(every));
+            let full = sim.execute(spec, &mut scheme, &mut monitor)?;
             let full_events = sink.into_events();
             let full_json = serde_json::to_string(&full).expect("reports serialize");
             // Checkpointing on must not perturb the run at all.
@@ -623,7 +568,7 @@ impl ChaosConfig {
                             .faults(&plan)
                             .telemetry(&mut sink)
                             .resume_from(&back);
-                        match durable.execute(spec, &mut scheme, &mut monitor) {
+                        match sim.execute(spec, &mut scheme, &mut monitor) {
                             Err(e) => fail("kill-resume:resume", e.to_string()),
                             Ok(resumed) => {
                                 let resumed_json =
@@ -698,9 +643,10 @@ impl ChaosConfig {
 fn random_resilience(rng: &mut ChaCha8Rng) -> ResiliencePolicy {
     let mut p = ResiliencePolicy::default();
     if rng.gen::<f64>() < 0.6 {
-        p.timeout.enabled = true;
-        p.timeout.slack_fraction = rng.gen_range(0.2..1.0);
-        p.timeout.min_timeout_s = rng.gen_range(0.002..0.02);
+        p.timeout = Some(TimeoutPolicy {
+            slack_fraction: rng.gen_range(0.2..1.0),
+            min_timeout_s: rng.gen_range(0.002..0.02),
+        });
         p.retry.max_retries = rng.gen_range(0..4);
         p.retry.backoff_base_s = rng.gen_range(0.001..0.01);
         p.retry.backoff_cap_s = p.retry.backoff_base_s * rng.gen_range(1.0..8.0);
@@ -710,16 +656,18 @@ fn random_resilience(rng: &mut ChaCha8Rng) -> ResiliencePolicy {
         p.retry.budget_burst = rng.gen_range(1.0..20.0);
     }
     if rng.gen::<f64>() < 0.5 {
-        p.hedge.enabled = true;
-        p.hedge.quantile = rng.gen_range(50.0..99.0);
-        p.hedge.min_samples = rng.gen_range(8..64);
-        p.hedge.min_delay_s = rng.gen_range(0.001..0.01);
+        p.hedge = Some(HedgePolicy {
+            quantile: rng.gen_range(50.0..99.0),
+            min_samples: rng.gen_range(8..64),
+            min_delay_s: rng.gen_range(0.001..0.01),
+        });
     }
     if rng.gen::<f64>() < 0.5 {
-        p.admission.enabled = true;
-        p.admission.queue_cap = rng.gen_range(4..64);
-        p.admission.target_sojourn_s = rng.gen_range(0.005..0.05);
-        p.admission.interval_s = rng.gen_range(0.02..0.2);
+        p.admission = Some(AdmissionPolicy {
+            queue_cap: rng.gen_range(4..64),
+            target_sojourn_s: rng.gen_range(0.005..0.05),
+            interval_s: rng.gen_range(0.02..0.2),
+        });
     }
     p
 }
@@ -747,16 +695,16 @@ fn random_autoscale(
     p.down_confirm = rng.gen_range(2..8);
     p.cooldown_s = rng.gen_range(0.0..0.5);
     p.max_step = rng.gen_range(1..4);
-    p.brownout.enabled = rng.gen::<f64>() < 0.7;
-    if p.brownout.enabled {
-        p.brownout.enter_ratio = rng.gen_range(1.05..1.8);
-        p.brownout.exit_ratio = rng.gen_range(0.5..0.95);
-        p.brownout.confirm = rng.gen_range(1..6);
-    }
+    p.brownout = (rng.gen::<f64>() < 0.7).then(|| BrownoutPolicy {
+        enter_ratio: rng.gen_range(1.05..1.8),
+        exit_ratio: rng.gen_range(0.5..0.95),
+        confirm: rng.gen_range(1..6),
+        max_rung: 0,
+    });
     Some(p)
 }
 
-/// A randomized enabled failure-detector policy, every knob inside its
+/// A randomized failure-detector policy, every knob inside its
 /// valid range. `None` (detector off) for about 60% of runs unless the
 /// dimension is forced.
 fn random_health(rng: &mut ChaCha8Rng, force: bool) -> Option<HealthPolicy> {
@@ -843,16 +791,16 @@ fn random_plan(rng: &mut ChaCha8Rng, workers: usize, duration_s: f64) -> FaultPl
 /// a failure-detector run, or `"-"` for a noop policy.
 fn mechanisms_label(p: &ResiliencePolicy, autoscaled: bool, detected: bool) -> String {
     let mut s = String::new();
-    if p.timeout.enabled {
+    if p.timeout.is_some() {
         s.push('T');
         if p.retry.max_retries > 0 {
             s.push('R');
         }
     }
-    if p.hedge.enabled {
+    if p.hedge.is_some() {
         s.push('H');
     }
-    if p.admission.enabled {
+    if p.admission.is_some() {
         s.push('A');
     }
     if autoscaled {
@@ -978,8 +926,8 @@ fn check_invariants(
     }
 
     // Admission bounds: no enqueue past the cap (limbo exempt).
-    if policy.admission.enabled {
-        let cap = policy.admission.queue_cap as u32;
+    if let Some(admission) = &policy.admission {
+        let cap = admission.queue_cap as u32;
         for e in e1 {
             if let Event::Enqueue { queue, depth, .. } = e {
                 if *queue != QueueId::Limbo && *depth > cap {

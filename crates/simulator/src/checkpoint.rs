@@ -1,8 +1,8 @@
 //! Crash-consistent checkpoint/resume for the simulation engine
 //! (DESIGN.md §12).
 //!
-//! A [`CheckpointPolicy`] on [`crate::SimulationConfig`] asks the engine
-//! to capture its complete mid-run state — event heap, per-worker queues
+//! A [`CheckpointPolicy`], attached with its recorder through
+//! [`crate::RunSpec::checkpoints`], asks the engine to capture its complete mid-run state — event heap, per-worker queues
 //! and lifecycle, in-flight dispatches and hedge epochs, retry budgets,
 //! RNG streams, metrics, autoscaler controller state, and the telemetry
 //! sequence counter — at a configurable event-count or sim-time cadence.
@@ -14,9 +14,8 @@
 //! The durability invariant: resuming from *any* snapshot
 //! ([`crate::RunSpec::resume_from`]) continues to a final report and
 //! telemetry event stream byte-identical to the uninterrupted run's
-//! suffix. With the policy
-//! disabled (the default) the engine takes one predictable branch per
-//! event and is bit-identical to the pre-checkpoint engine.
+//! suffix. Without a recorder the engine takes one predictable branch
+//! per event and is bit-identical to the pre-checkpoint engine.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -37,13 +36,10 @@ use crate::SimError;
 /// v2 added the optional failure-detector state.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// When (if ever) the engine takes checkpoints. Off by default: the
-/// zero-value policy reproduces the pre-checkpoint engine bit-for-bit
-/// and costs one branch per processed event.
+/// When a durable run takes checkpoints: the cadence that rides with
+/// the recorder on [`crate::RunSpec::checkpoints`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointPolicy {
-    /// Master switch; when false the engine never snapshots.
-    pub enabled: bool,
     /// Snapshot after every `n` processed events (0 disables the
     /// event-count cadence).
     pub every_events: u64,
@@ -54,29 +50,22 @@ pub struct CheckpointPolicy {
 
 impl Default for CheckpointPolicy {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            every_events: 100_000,
-            every_sim_s: 0.0,
-        }
+        Self::every_events(100_000)
     }
 }
 
 impl CheckpointPolicy {
-    /// An enabled policy snapshotting every `n` processed events.
+    /// A policy snapshotting every `n` processed events.
     pub fn every_events(n: u64) -> Self {
         Self {
-            enabled: true,
             every_events: n,
             every_sim_s: 0.0,
         }
     }
 
-    /// An enabled policy snapshotting every `s` seconds of simulated
-    /// time.
+    /// A policy snapshotting every `s` seconds of simulated time.
     pub fn every_sim_s(s: f64) -> Self {
         Self {
-            enabled: true,
             every_events: 0,
             every_sim_s: s,
         }
@@ -86,8 +75,8 @@ impl CheckpointPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when enabled with no cadence,
-    /// or the sim-time cadence is negative or non-finite.
+    /// Returns [`SimError::InvalidConfig`] when there is no cadence, or
+    /// the sim-time cadence is negative or non-finite.
     pub fn validate(&self) -> Result<(), SimError> {
         if !self.every_sim_s.is_finite() || self.every_sim_s < 0.0 {
             return Err(SimError::InvalidConfig(format!(
@@ -95,10 +84,9 @@ impl CheckpointPolicy {
                 self.every_sim_s
             )));
         }
-        if self.enabled && self.every_events == 0 && self.every_sim_s == 0.0 {
+        if self.every_events == 0 && self.every_sim_s == 0.0 {
             return Err(SimError::InvalidConfig(
-                "checkpoint policy enabled with no cadence: set every_events or every_sim_s"
-                    .to_string(),
+                "checkpoint policy has no cadence: set every_events or every_sim_s".to_string(),
             ));
         }
         Ok(())
@@ -459,16 +447,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_default_is_off_and_valid() {
-        let p = CheckpointPolicy::default();
-        assert!(!p.enabled);
-        p.validate().unwrap();
+    fn policy_default_is_valid() {
+        CheckpointPolicy::default().validate().unwrap();
     }
 
     #[test]
-    fn policy_rejects_enabled_without_cadence() {
+    fn policy_rejects_no_cadence() {
         let p = CheckpointPolicy {
-            enabled: true,
             every_events: 0,
             every_sim_s: 0.0,
         };

@@ -44,7 +44,7 @@ use crate::latency::{LatencyMode, LatencySampler};
 use crate::metrics::{MetricsCollector, SimulationReport};
 use crate::query::{nanos_from_secs, secs_from_nanos, Nanos, Query};
 use crate::resilience::{
-    backoff_delay_s, splitmix64, CoDelAdmission, ResiliencePolicy, RetryBudget,
+    backoff_delay_s, splitmix64, CoDelAdmission, HedgePolicy, ResiliencePolicy, RetryBudget,
 };
 use crate::scheme::{Routing, Selection, SelectionContext, ServingScheme};
 use crate::SimError;
@@ -66,23 +66,18 @@ pub struct SimulationConfig {
     /// seconds); `None` disables it.
     pub timeline_window_s: Option<f64>,
     /// Request-level resilience knobs (timeouts, retry, hedging,
-    /// admission control). The default disables every mechanism and
+    /// admission control). The default turns every mechanism off and
     /// reproduces pre-resilience behavior bit-for-bit.
     pub resilience: ResiliencePolicy,
     /// Elastic-capacity knobs (autoscaler, worker lifecycle, brownout
-    /// ladder). The default disables the subsystem and reproduces the
-    /// fixed-pool engine bit-for-bit.
-    pub autoscale: AutoscalePolicy,
-    /// Checkpoint cadence for durable runs (DESIGN.md §12). The default
-    /// disables checkpointing and reproduces the pre-checkpoint engine
-    /// bit-for-bit; snapshots are only taken when a
-    /// [`CheckpointRecorder`] is attached via [`RunSpec::checkpoints`].
-    pub checkpoint: CheckpointPolicy,
+    /// ladder). `None` (the default) reproduces the fixed-pool engine
+    /// bit-for-bit.
+    pub autoscale: Option<AutoscalePolicy>,
     /// Perceived-health knobs (DESIGN.md §14): heartbeat probes, the
     /// phi-accrual failure detector, per-worker circuit breakers, and
-    /// EWMA outlier ejection. The default disables the subsystem and
-    /// reproduces the oracle-membership engine bit-for-bit.
-    pub health: HealthPolicy,
+    /// EWMA outlier ejection. `None` (the default) reproduces the
+    /// oracle-membership engine bit-for-bit.
+    pub health: Option<HealthPolicy>,
 }
 
 impl SimulationConfig {
@@ -97,9 +92,8 @@ impl SimulationConfig {
             latency_seed: 2,
             timeline_window_s: None,
             resilience: ResiliencePolicy::default(),
-            autoscale: AutoscalePolicy::default(),
-            checkpoint: CheckpointPolicy::default(),
-            health: HealthPolicy::default(),
+            autoscale: None,
+            health: None,
         }
     }
 
@@ -117,20 +111,14 @@ impl SimulationConfig {
 
     /// Installs an elastic-capacity (autoscaler) policy.
     pub fn with_autoscale(mut self, autoscale: AutoscalePolicy) -> Self {
-        self.autoscale = autoscale;
-        self
-    }
-
-    /// Installs a checkpoint cadence for durable runs.
-    pub fn with_checkpoints(mut self, checkpoint: CheckpointPolicy) -> Self {
-        self.checkpoint = checkpoint;
+        self.autoscale = Some(autoscale);
         self
     }
 
     /// Installs a perceived-health policy (probes, failure detector,
     /// circuit breakers).
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+        self.health = Some(health);
         self
     }
 
@@ -174,14 +162,17 @@ impl SimulationConfig {
             }
         }
         self.resilience.validate()?;
-        self.autoscale.validate()?;
-        self.checkpoint.validate()?;
-        self.health.validate()?;
-        if self.autoscale.enabled && self.workers > self.autoscale.max_workers {
-            return Err(SimError::InvalidConfig(format!(
-                "autoscale: initial pool {} exceeds max_workers {}",
-                self.workers, self.autoscale.max_workers
-            )));
+        if let Some(health) = &self.health {
+            health.validate()?;
+        }
+        if let Some(autoscale) = &self.autoscale {
+            autoscale.validate()?;
+            if self.workers > autoscale.max_workers {
+                return Err(SimError::InvalidConfig(format!(
+                    "autoscale: initial pool {} exceeds max_workers {}",
+                    self.workers, autoscale.max_workers
+                )));
+            }
         }
         Ok(())
     }
@@ -198,11 +189,11 @@ enum EventKind {
     /// Index into the expanded fault-action array.
     Fault(u32),
     /// The worker's in-flight dispatch exceeded its granted timeout
-    /// (same epoch discipline as `WorkerDone`). Only scheduled when
-    /// [`TimeoutPolicy::enabled`]; a dispatch gets *either* a
-    /// `WorkerDone` or a `Timeout`, never both.
+    /// (same epoch discipline as `WorkerDone`). Only scheduled with a
+    /// [`TimeoutPolicy`]; a dispatch gets *either* a `WorkerDone` or a
+    /// `Timeout`, never both.
     ///
-    /// [`TimeoutPolicy::enabled`]: crate::resilience::TimeoutPolicy
+    /// [`TimeoutPolicy`]: crate::resilience::TimeoutPolicy
     Timeout(usize, u64),
     /// The worker's in-flight dispatch has been running past the hedge
     /// quantile; duplicate it to an idle worker if one exists.
@@ -211,20 +202,16 @@ enum EventKind {
     /// retry buffer.
     Retry(u32),
     /// Autoscaler controller tick: evaluate the pool size and the
-    /// brownout ladder. Only ever scheduled when
-    /// [`AutoscalePolicy::enabled`]; reschedules itself while arrivals
-    /// remain.
+    /// brownout ladder. Only ever scheduled with an [`AutoscalePolicy`];
+    /// reschedules itself while arrivals remain.
     ScaleTick,
     /// A warming worker's warm-up latency elapsed (same epoch discipline
     /// as `WorkerDone`: a crash or a cancelling scale-in bumps the epoch
     /// and strands the event).
     WarmupDone(usize, u64),
     /// Health-probe tick: heartbeat every probed worker and feed the
-    /// failure detector. Only ever scheduled when
-    /// [`HealthPolicy::enabled`]; reschedules itself while arrivals
-    /// remain (mirrors `ScaleTick`).
-    ///
-    /// [`HealthPolicy::enabled`]: crate::health::HealthPolicy
+    /// failure detector. Only ever scheduled with a [`HealthPolicy`];
+    /// reschedules itself while arrivals remain (mirrors `ScaleTick`).
     HealthTick,
 }
 
@@ -569,8 +556,8 @@ impl ClusterState {
 
 /// The perceived-membership runtime (DESIGN.md §14): the failure
 /// detector plus the router's suspicion-filtered view of the pool. Only
-/// constructed when [`HealthPolicy::enabled`]; with the policy off
-/// nothing here exists and the oracle engine stays bit-identical.
+/// constructed with a [`HealthPolicy`]; without one nothing here exists
+/// and the oracle engine stays bit-identical.
 struct HealthRuntime {
     monitor: HealthMonitor,
     /// Routable per the detector: not suspected, and either actually
@@ -601,8 +588,8 @@ impl HealthRuntime {
 }
 
 /// The resilience layer's per-run state. Constructed from the config's
-/// [`ResiliencePolicy`]; with the default (all-off) policy none of it
-/// is ever consulted on the hot path beyond one branch per site.
+/// [`ResiliencePolicy`]; with every mechanism `None` none of it is ever
+/// consulted on the hot path beyond one branch per site.
 struct ResilienceRuntime {
     policy: ResiliencePolicy,
     state: ResilienceState,
@@ -621,10 +608,10 @@ impl ResilienceRuntime {
         }
     }
 
-    /// How long after dispatch a hedge fires, once enough service times
-    /// have been observed; `None` while the estimate is still noise.
-    fn hedge_delay_ns(&self) -> Option<Nanos> {
-        let h = &self.policy.hedge;
+    /// How long after dispatch a hedge under `h` fires, once enough
+    /// service times have been observed; `None` while the estimate is
+    /// still noise.
+    fn hedge_delay_ns(&self, h: &HedgePolicy) -> Option<Nanos> {
         let hist = &self.state.service_hist;
         if hist.count() < h.min_samples {
             return None;
@@ -792,7 +779,7 @@ pub struct RunSpec<'r> {
     sink: Option<&'r mut dyn TelemetrySink>,
     decisions: Option<&'r mut dyn DecisionSink>,
     profiler: Option<&'r mut Profiler>,
-    recorder: Option<&'r mut dyn CheckpointRecorder>,
+    recorder: Option<(&'r mut dyn CheckpointRecorder, CheckpointPolicy)>,
     resume: Option<&'r EngineSnapshot>,
     forced: Option<(ForcedDecision, u64)>,
 }
@@ -852,11 +839,14 @@ impl<'r> RunSpec<'r> {
     }
 
     /// Snapshots the complete engine state into `recorder` at the
-    /// cadence the config's [`CheckpointPolicy`] sets. A recorder that
-    /// declines a snapshot stops the run with
-    /// [`SimError::Interrupted`].
-    pub fn checkpoints(mut self, recorder: &'r mut dyn CheckpointRecorder) -> Self {
-        self.recorder = Some(recorder);
+    /// cadence `policy` sets. A recorder that declines a snapshot stops
+    /// the run with [`SimError::Interrupted`].
+    pub fn checkpoints(
+        mut self,
+        recorder: &'r mut dyn CheckpointRecorder,
+        policy: CheckpointPolicy,
+    ) -> Self {
+        self.recorder = Some((recorder, policy));
         self
     }
 
@@ -919,7 +909,7 @@ impl<'a> Simulation<'a> {
         config: SimulationConfig,
     ) -> Result<Self, SimError> {
         config.validate()?;
-        if config.autoscale.enabled {
+        if config.autoscale.is_some() {
             return Err(SimError::InvalidConfig(
                 "autoscaling requires a homogeneous cluster: scale-up slots \
                  beyond the initial pool have no profile of their own"
@@ -975,8 +965,8 @@ impl<'a> Simulation<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the fault plan fails
-    /// [`FaultPlan::validate`] for this cluster; a recorder is attached
-    /// but the checkpoint policy is disabled; a recorder or a resume
+    /// [`FaultPlan::validate`] for this cluster; the checkpoint policy
+    /// fails [`CheckpointPolicy::validate`]; a recorder or a resume
     /// snapshot is used with a scheme or estimator that cannot
     /// checkpoint; the snapshot does not belong to this run; or the
     /// forced decision is out of range, precedes `k_offset`, or is
@@ -1004,12 +994,8 @@ impl<'a> Simulation<'a> {
         let no_faults = FaultPlan::none();
         let plan = plan.unwrap_or(&no_faults);
         plan.validate(self.config.workers)?;
-        if recorder.is_some() && !self.config.checkpoint.enabled {
-            return Err(SimError::InvalidConfig(
-                "checkpoint recorder attached but the checkpoint policy is disabled; \
-                 enable it via SimulationConfig::with_checkpoints"
-                    .to_string(),
-            ));
+        if let Some((_, policy)) = &recorder {
+            policy.validate()?;
         }
         if recorder.is_some() || resume.is_some() {
             if scheme.checkpoint_state().is_none() {
@@ -1047,7 +1033,7 @@ impl<'a> Simulation<'a> {
             tracer: Tracer::new(sink),
             dec: DecisionTracer::new(decisions.map(|d| d as &mut dyn DecisionSink), forced),
             prof: &mut *prof,
-            recorder: recorder.map(|r| r as &mut dyn CheckpointRecorder),
+            recorder: recorder.map(|(r, p)| (r as &mut dyn CheckpointRecorder, p)),
         };
         let mut engine = Engine::new(self, arrivals, plan, scheme, estimator, observers);
         engine.prof.exit(Phase::Setup);
@@ -1132,7 +1118,7 @@ struct Observers<'r> {
     tracer: Tracer<'r>,
     dec: DecisionTracer<'r>,
     prof: &'r mut Profiler,
-    recorder: Option<&'r mut dyn CheckpointRecorder>,
+    recorder: Option<(&'r mut dyn CheckpointRecorder, CheckpointPolicy)>,
 }
 
 /// The pending-event heap and its tie-breaking sequence counter.
@@ -1198,8 +1184,10 @@ struct Engine<'r> {
     horizon: Nanos,
     /// Heap events fully processed.
     events_done: u64,
-    /// Checkpoint cadence: the sim-time period (0 = off) and the next
-    /// due points by time and by event count (`u64::MAX` = off).
+    /// Checkpoint cadence: the event-count and sim-time periods (0 =
+    /// off) and the next due points by time and by event count
+    /// (`u64::MAX` = off).
+    ckpt_every_events: u64,
     ckpt_period_ns: Nanos,
     next_ckpt_ns: Nanos,
     next_ckpt_events: u64,
@@ -1220,14 +1208,11 @@ impl<'r> Engine<'r> {
     ) -> Self {
         let config = &sim.config;
         scheme.set_audit(obs.tracer.on);
-        let autoscale = config.autoscale;
         // With autoscaling every per-worker structure is sized to the
         // pool ceiling; slots beyond the initial pool start Down.
-        let n_workers = if autoscale.enabled {
-            autoscale.max_workers.max(config.workers)
-        } else {
-            config.workers
-        };
+        let n_workers = config
+            .autoscale
+            .map_or(config.workers, |a| a.max_workers.max(config.workers));
         let mut metrics = match config.timeline_window_s {
             Some(w) => MetricsCollector::new().with_timeline(w),
             None => MetricsCollector::new(),
@@ -1235,12 +1220,15 @@ impl<'r> Engine<'r> {
         if !plan.is_empty() {
             metrics = metrics.with_fault_windows(plan.fault_windows());
         }
-        let ckpt = config.checkpoint;
-        let ckpt_period_ns = if ckpt.every_sim_s > 0.0 {
-            nanos_from_secs(ckpt.every_sim_s).max(1)
-        } else {
-            0
-        };
+        let (ckpt_every_events, ckpt_period_ns) = obs.recorder.as_ref().map_or((0, 0), |(_, p)| {
+            let period_ns = if p.every_sim_s > 0.0 {
+                nanos_from_secs(p.every_sim_s).max(1)
+            } else {
+                0
+            };
+            (p.every_events, period_ns)
+        });
+        let recorder = obs.recorder.map(|(r, _)| r);
         let mut engine = Engine {
             sim,
             arrivals,
@@ -1252,12 +1240,12 @@ impl<'r> Engine<'r> {
             tracer: obs.tracer,
             dec: obs.dec,
             prof: obs.prof,
-            arrivals_hash: if obs.recorder.is_some() {
+            arrivals_hash: if recorder.is_some() {
                 arrivals_fingerprint(arrivals)
             } else {
                 0
             },
-            recorder: obs.recorder,
+            recorder,
             slo: nanos_from_secs(config.slo_s),
             sampler: LatencySampler::new(config.latency, config.latency_seed),
             metrics,
@@ -1284,12 +1272,13 @@ impl<'r> Engine<'r> {
             err_seed: splitmix64(config.arrival_seed ^ 0xE44A_575D_11CE_A57E),
             horizon: 0,
             events_done: 0,
+            ckpt_every_events,
             ckpt_period_ns,
             next_ckpt_ns: ckpt_period_ns,
             // Event-count cadence as a precomputed target rather than a
             // per-event modulo: one u64 compare on the hot path.
-            next_ckpt_events: if ckpt.every_events > 0 {
-                ckpt.every_events
+            next_ckpt_events: if ckpt_every_events > 0 {
+                ckpt_every_events
             } else {
                 u64::MAX
             },
@@ -1310,9 +1299,9 @@ impl<'r> Engine<'r> {
         );
         let tick_end = nanos_from_secs(last);
         // The autoscaler's state and its first controller tick. Nothing
-        // here runs when the policy is disabled, so the event stream and
-        // the report stay byte-identical to the fixed-pool engine.
-        if autoscale.enabled {
+        // here runs without a policy, so the event stream and the report
+        // stay byte-identical to the fixed-pool engine.
+        if let Some(autoscale) = config.autoscale {
             let rt =
                 AutoscaleRuntime::new(autoscale, engine.cluster.live, sim.profiles[0], tick_end);
             engine
@@ -1321,13 +1310,13 @@ impl<'r> Engine<'r> {
             engine.scale = Some(rt);
         }
         // The failure detector and the perceived-membership view. As
-        // with autoscaling, nothing here runs when the policy is
-        // disabled, so the event stream and the report stay
-        // byte-identical to the oracle-membership engine.
-        if config.health.enabled {
-            let tick_ns = nanos_from_secs(config.health.probe_interval_s).max(1);
+        // with autoscaling, nothing here runs without a policy, so the
+        // event stream and the report stay byte-identical to the
+        // oracle-membership engine.
+        if let Some(health) = config.health {
+            let tick_ns = nanos_from_secs(health.probe_interval_s).max(1);
             let mut hs = HealthRuntime {
-                monitor: HealthMonitor::new(config.health, n_workers, 0),
+                monitor: HealthMonitor::new(health, n_workers, 0),
                 view: vec![false; n_workers],
                 perceived_live: 0,
                 tick_ns,
@@ -1364,7 +1353,7 @@ impl<'r> Engine<'r> {
         // count / time: exactly where the uninterrupted run's cadence
         // stands. `checked_div` is `None` only for a zero divisor,
         // i.e. that cadence dimension is off.
-        let every_events = self.sim.config.checkpoint.every_events;
+        let every_events = self.ckpt_every_events;
         if let Some(periods) = self.events_done.checked_div(every_events) {
             self.next_ckpt_events = (periods + 1) * every_events;
         }
@@ -1637,7 +1626,7 @@ impl<'r> Engine<'r> {
             return true;
         }
         if due_events {
-            self.next_ckpt_events += self.sim.config.checkpoint.every_events;
+            self.next_ckpt_events += self.ckpt_every_events;
         }
         while self.ckpt_period_ns > 0 && self.next_ckpt_ns <= now {
             self.next_ckpt_ns += self.ckpt_period_ns;
@@ -2585,7 +2574,7 @@ impl<'r> Engine<'r> {
     /// Consults admission control before an enqueue into `slot`'s queue
     /// (see [`Self::route_query`]). `true` admits; on refusal the query
     /// is shed on the spot (event + counters) and must not be enqueued.
-    /// With admission disabled this is one branch and no state is
+    /// Without an admission policy this is one branch and no state is
     /// touched.
     fn try_admit(&mut self, q: &Query, now: Nanos, slot: usize) -> bool {
         let (queue, queue_id) = if slot == self.n_workers() {
@@ -2595,7 +2584,9 @@ impl<'r> Engine<'r> {
         };
         let depth = queue.len();
         let front = queue.front().map(|h| h.enqueued_at);
-        let policy = &self.resil.policy.admission;
+        let Some(policy) = &self.resil.policy.admission else {
+            return true;
+        };
         if self.resil.state.admission[slot]
             .offer(policy, now, depth, front)
             .is_none()
@@ -2927,10 +2918,9 @@ impl<'r> Engine<'r> {
         let service_ns = nanos_from_secs(service);
         self.cluster.busy[w] = true;
         let epoch = self.cluster.epochs[w];
-        let tpol = self.resil.policy.timeout;
         let mut end = (now + service_ns, EventKind::WorkerDone(w, epoch));
         let mut timeout_cut = Nanos::MAX;
-        if tpol.enabled {
+        if let Some(tpol) = self.resil.policy.timeout {
             let slack = queries[0].deadline.saturating_sub(now);
             let t_ns = nanos_from_secs(tpol.min_timeout_s)
                 .max((slack as f64 * tpol.slack_fraction) as Nanos);
@@ -2940,12 +2930,12 @@ impl<'r> Engine<'r> {
             }
         }
         self.events.push(self.prof, end.0, end.1);
-        if self.resil.policy.hedge.enabled {
+        if let Some(hedge) = self.resil.policy.hedge {
             self.resil.state.service_hist.record(service_ns);
             if self.n_workers() > 1 {
                 // Hedging past the dispatch's own end would be a no-op;
                 // don't schedule it.
-                if let Some(delay) = self.resil.hedge_delay_ns() {
+                if let Some(delay) = self.resil.hedge_delay_ns(&hedge) {
                     if delay < service_ns.min(timeout_cut) {
                         self.events
                             .push(self.prof, now + delay, EventKind::HedgeDue(w, epoch));
@@ -2979,6 +2969,7 @@ fn subsystem_mismatch(what: &str, config_enables: bool) -> SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{AdmissionPolicy, TimeoutPolicy};
     use crate::scheme::RamsisScheme;
     use ramsis_core::{Discretization, PolicyConfig, PolicySet};
     use ramsis_profiles::{ModelCatalog, ProfilerConfig};
@@ -3533,8 +3524,10 @@ mod tests {
         // Worker 0 runs 20x slow for the whole run; timeouts cut its
         // straggling dispatches short and retries re-route the queries.
         let trace = Trace::constant(60.0, 4.0);
-        let mut resilience = ResiliencePolicy::default();
-        resilience.timeout.enabled = true;
+        let mut resilience = ResiliencePolicy {
+            timeout: Some(TimeoutPolicy::default()),
+            ..ResiliencePolicy::default()
+        };
         resilience.retry.max_retries = 3;
         resilience.retry.budget_rate_per_s = 1000.0;
         resilience.retry.budget_burst = 1000.0;
@@ -3562,9 +3555,13 @@ mod tests {
     #[test]
     fn admission_bounds_queue_and_sheds_on_enqueue() {
         let trace = Trace::constant(400.0, 3.0);
-        let mut resilience = ResiliencePolicy::default();
-        resilience.admission.enabled = true;
-        resilience.admission.queue_cap = 8;
+        let resilience = ResiliencePolicy {
+            admission: Some(AdmissionPolicy {
+                queue_cap: 8,
+                ..AdmissionPolicy::default()
+            }),
+            ..ResiliencePolicy::default()
+        };
         let config = SimulationConfig::new(1, 0.15)
             .seeded(3)
             .with_resilience(resilience);
@@ -3581,10 +3578,14 @@ mod tests {
     #[test]
     fn hedging_duplicates_stragglers_and_counts_once() {
         let trace = Trace::constant(50.0, 10.0);
-        let mut resilience = ResiliencePolicy::default();
-        resilience.hedge.enabled = true;
-        resilience.hedge.min_samples = 16;
-        resilience.hedge.quantile = 90.0;
+        let resilience = ResiliencePolicy {
+            hedge: Some(HedgePolicy {
+                min_samples: 16,
+                quantile: 90.0,
+                ..HedgePolicy::default()
+            }),
+            ..ResiliencePolicy::default()
+        };
         let config = SimulationConfig::new(4, 0.15)
             .stochastic()
             .seeded(21)
@@ -3642,7 +3643,10 @@ mod tests {
     #[test]
     fn resilience_validation_is_wired_into_config() {
         let mut resilience = ResiliencePolicy::all_on();
-        resilience.timeout.min_timeout_s = f64::NAN;
+        resilience.timeout = Some(TimeoutPolicy {
+            min_timeout_s: f64::NAN,
+            ..TimeoutPolicy::default()
+        });
         let config = SimulationConfig::new(2, 0.15).with_resilience(resilience);
         assert!(config.validate().is_err());
         assert!(Simulation::new(profile(), config).is_err());
@@ -3696,31 +3700,6 @@ mod tests {
             )
             .unwrap();
         (report, sink.into_events())
-    }
-
-    #[test]
-    fn disabled_autoscale_is_byte_identical_to_plain_run() {
-        // The elasticity acceptance bar: a config that merely *carries*
-        // the (disabled) autoscale knobs must reproduce the fixed-pool
-        // engine exactly — same report, same serialized JSON, same
-        // event stream.
-        let trace = Trace::constant(150.0, 4.0);
-        let (plain, plain_events) = run_elastic(&trace, SimulationConfig::new(3, 0.15).seeded(2));
-        let (off, off_events) = run_elastic(
-            &trace,
-            SimulationConfig::new(3, 0.15)
-                .seeded(2)
-                .with_autoscale(AutoscalePolicy::default()),
-        );
-        assert_eq!(plain, off);
-        assert_eq!(plain_events, off_events);
-        assert!(off.autoscale.is_none());
-        let json = serde_json::to_string(&off).unwrap();
-        assert_eq!(json, serde_json::to_string(&plain).unwrap());
-        assert!(
-            !json.contains("autoscale"),
-            "disabled runs must omit the field entirely"
-        );
     }
 
     #[test]
@@ -4009,8 +3988,8 @@ mod tests {
 
     /// A faulted, resilience-on, per-worker-routed run: the busiest
     /// checkpoint surface (fault windows, timeouts, retries, hedges,
-    /// limbo) short of autoscaling.
-    fn durable_fixture() -> (Trace, FaultPlan, SimulationConfig) {
+    /// limbo) short of autoscaling, with its checkpoint cadence.
+    fn durable_fixture() -> (Trace, FaultPlan, SimulationConfig, CheckpointPolicy) {
         let trace = Trace::constant(200.0, 6.0);
         let plan = FaultPlan::none()
             .crash(0, 1.0)
@@ -4019,14 +3998,13 @@ mod tests {
             .surge(2.5, 4.5, 1.5);
         let config = SimulationConfig::new(4, 0.15)
             .seeded(21)
-            .with_resilience(ResiliencePolicy::all_on())
-            .with_checkpoints(CheckpointPolicy::every_events(400));
-        (trace, plan, config)
+            .with_resilience(ResiliencePolicy::all_on());
+        (trace, plan, config, CheckpointPolicy::every_events(400))
     }
 
     #[test]
     fn checkpointing_does_not_perturb_the_run() {
-        let (trace, plan, config) = durable_fixture();
+        let (trace, plan, config, every) = durable_fixture();
         let sim = Simulation::new(profile(), config).unwrap();
         let scheme = || GreedyFastestRr {
             model: profile().fastest_model(),
@@ -4041,7 +4019,9 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         let durable = sim
             .execute(
-                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .checkpoints(&mut rec, every),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
             )
@@ -4056,7 +4036,7 @@ mod tests {
 
     #[test]
     fn resume_from_every_checkpoint_is_byte_identical() {
-        let (trace, plan, config) = durable_fixture();
+        let (trace, plan, config, every) = durable_fixture();
         let sim = Simulation::new(profile(), config).unwrap();
         let scheme = || GreedyFastestRr {
             model: profile().fastest_model(),
@@ -4068,7 +4048,7 @@ mod tests {
                 RunSpec::trace(&trace)
                     .faults(&plan)
                     .telemetry(&mut full_sink)
-                    .checkpoints(&mut rec),
+                    .checkpoints(&mut rec, every),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
             )
@@ -4104,7 +4084,7 @@ mod tests {
 
     #[test]
     fn kill_then_resume_from_latest_checkpoint_completes() {
-        let (trace, plan, config) = durable_fixture();
+        let (trace, plan, config, every) = durable_fixture();
         let sim = Simulation::new(profile(), config).unwrap();
         let scheme = || GreedyFastestRr {
             model: profile().fastest_model(),
@@ -4121,7 +4101,9 @@ mod tests {
         let mut rec = MemoryRecorder::stop_after(2);
         let killed = sim
             .execute(
-                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .checkpoints(&mut rec, every),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
             )
@@ -4137,7 +4119,7 @@ mod tests {
             .execute(
                 RunSpec::trace(&trace)
                     .faults(&plan)
-                    .checkpoints(&mut rec2)
+                    .checkpoints(&mut rec2, every)
                     .resume_from(&latest),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
@@ -4164,8 +4146,7 @@ mod tests {
             profile(),
             SimulationConfig::new(2, 0.15)
                 .seeded(8)
-                .with_autoscale(policy)
-                .with_checkpoints(CheckpointPolicy::every_events(2_000)),
+                .with_autoscale(policy),
         )
         .unwrap();
         let mut rec = MemoryRecorder::new();
@@ -4174,7 +4155,7 @@ mod tests {
             .execute(
                 RunSpec::trace(&trace)
                     .telemetry(&mut full_sink)
-                    .checkpoints(&mut rec),
+                    .checkpoints(&mut rec, CheckpointPolicy::every_events(2_000)),
                 &mut degrading_scheme(6, &[50.0, 150.0, 300.0]),
                 &mut LoadMonitor::new(),
             )
@@ -4204,17 +4185,11 @@ mod tests {
     #[test]
     fn checkpointing_by_sim_time_fires_on_schedule() {
         let trace = Trace::constant(150.0, 4.0);
-        let sim = Simulation::new(
-            profile(),
-            SimulationConfig::new(2, 0.15)
-                .seeded(3)
-                .with_checkpoints(CheckpointPolicy::every_sim_s(1.0)),
-        )
-        .unwrap();
+        let sim = Simulation::new(profile(), SimulationConfig::new(2, 0.15).seeded(3)).unwrap();
         let mut rec = MemoryRecorder::new();
         let report = sim
             .execute(
-                RunSpec::trace(&trace).checkpoints(&mut rec),
+                RunSpec::trace(&trace).checkpoints(&mut rec, CheckpointPolicy::every_sim_s(1.0)),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
@@ -4236,7 +4211,7 @@ mod tests {
 
     #[test]
     fn resume_refuses_a_mismatched_run() {
-        let (trace, plan, config) = durable_fixture();
+        let (trace, plan, config, every) = durable_fixture();
         let sim = Simulation::new(profile(), config).unwrap();
         let scheme = || GreedyFastestRr {
             model: profile().fastest_model(),
@@ -4244,7 +4219,9 @@ mod tests {
         let mut rec = MemoryRecorder::stop_after(1);
         let stopped = sim
             .execute(
-                RunSpec::trace(&trace).faults(&plan).checkpoints(&mut rec),
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .checkpoints(&mut rec, every),
                 &mut scheme(),
                 &mut LoadMonitor::new(),
             )
@@ -4289,19 +4266,23 @@ mod tests {
     }
 
     #[test]
-    fn durable_run_requires_enabled_policy() {
+    fn durable_run_requires_a_cadence() {
         let trace = Trace::constant(100.0, 1.0);
         let sim = Simulation::new(profile(), SimulationConfig::new(2, 0.15)).unwrap();
+        let none = CheckpointPolicy {
+            every_events: 0,
+            every_sim_s: 0.0,
+        };
         let err = sim
             .execute(
-                RunSpec::trace(&trace).checkpoints(&mut MemoryRecorder::new()),
+                RunSpec::trace(&trace).checkpoints(&mut MemoryRecorder::new(), none),
                 &mut GreedyFastest {
                     model: profile().fastest_model(),
                 },
                 &mut LoadMonitor::new(),
             )
             .unwrap_err();
-        assert!(err.to_string().contains("disabled"), "{err}");
+        assert!(err.to_string().contains("cadence"), "{err}");
     }
 
     #[test]
@@ -4324,14 +4305,11 @@ mod tests {
             }
         }
         let trace = Trace::constant(100.0, 1.0);
-        let sim = Simulation::new(
-            profile(),
-            SimulationConfig::new(2, 0.15).with_checkpoints(CheckpointPolicy::every_events(100)),
-        )
-        .unwrap();
+        let sim = Simulation::new(profile(), SimulationConfig::new(2, 0.15)).unwrap();
         let err = sim
             .execute(
-                RunSpec::trace(&trace).checkpoints(&mut MemoryRecorder::new()),
+                RunSpec::trace(&trace)
+                    .checkpoints(&mut MemoryRecorder::new(), CheckpointPolicy::default()),
                 &mut Blind,
                 &mut LoadMonitor::new(),
             )

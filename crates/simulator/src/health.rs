@@ -38,9 +38,9 @@
 //! without ever informing it.
 //!
 //! Everything is pure arithmetic over deterministic inputs (simulated
-//! time, seeded service times) — no RNG, no wall clock — and with
-//! [`HealthPolicy::enabled`] false the engine schedules no probe ticks
-//! at all and takes exactly its oracle paths.
+//! time, seeded service times) — no RNG, no wall clock — and with no
+//! [`HealthPolicy`] configured the engine schedules no probe ticks at
+//! all and takes exactly its oracle paths.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,13 +75,10 @@ impl BreakerState {
 }
 
 /// Perceived-health configuration, hanging off
-/// [`crate::SimulationConfig::health`]. The default disables the whole
-/// subsystem and reproduces the oracle engine bit-for-bit.
+/// [`crate::SimulationConfig::health`]; without one membership
+/// knowledge stays oracular.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HealthPolicy {
-    /// Master switch; `false` (default) schedules no probe ticks and
-    /// leaves membership knowledge oracular.
-    pub enabled: bool,
     /// Heartbeat/probe period, seconds. Every candidate worker is
     /// probed once per tick.
     pub probe_interval_s: f64,
@@ -111,7 +108,6 @@ pub struct HealthPolicy {
 impl Default for HealthPolicy {
     fn default() -> Self {
         Self {
-            enabled: false,
             probe_interval_s: 0.02,
             probe_timeout_s: 0.01,
             phi_threshold: 1.0,
@@ -125,31 +121,25 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// An enabled policy probing at `probe_interval_s` with the default
-    /// detector knobs — the one-liner used by benches, the CLI, and
-    /// chaos.
+    /// A policy probing at `probe_interval_s` with the default detector
+    /// knobs — the one-liner used by benches, the CLI, and chaos.
     pub fn probing(probe_interval_s: f64) -> Self {
         Self {
-            enabled: true,
             probe_interval_s,
             probe_timeout_s: probe_interval_s / 2.0,
             ..Self::default()
         }
     }
 
-    /// Checks the knobs of an *enabled* policy: positive finite probe
-    /// interval, timeout, threshold and outlier factor, an EWMA weight
-    /// in `(0, 1]`, non-zero strike and close-probe counts, and a
-    /// non-negative finite backoff. A disabled policy is always valid
-    /// (its knobs are never read).
+    /// Checks the knobs: positive finite probe interval, timeout,
+    /// threshold and outlier factor, an EWMA weight in `(0, 1]`,
+    /// non-zero strike and close-probe counts, and a non-negative
+    /// finite backoff.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending knob.
     pub fn validate(&self) -> Result<(), SimError> {
-        if !self.enabled {
-            return Ok(());
-        }
         let bad = |msg: String| Err(SimError::InvalidConfig(msg));
         let pos = |what: &str, v: f64| -> Result<(), SimError> {
             if !v.is_finite() || v <= 0.0 {
@@ -608,10 +598,8 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_disabled_and_valid() {
-        let p = HealthPolicy::default();
-        assert!(!p.enabled);
-        assert!(p.validate().is_ok());
+    fn default_and_probing_policies_are_valid() {
+        assert!(HealthPolicy::default().validate().is_ok());
         assert!(HealthPolicy::probing(0.05).validate().is_ok());
     }
 
@@ -638,14 +626,6 @@ mod tests {
         p = policy();
         p.open_backoff_s = -0.1;
         assert!(p.validate().is_err(), "negative backoff");
-        // Garbage behind the off switch never fails a run.
-        p = HealthPolicy {
-            enabled: false,
-            probe_interval_s: f64::NAN,
-            outlier_strikes: 0,
-            ..HealthPolicy::default()
-        };
-        assert!(p.validate().is_ok());
     }
 
     #[test]

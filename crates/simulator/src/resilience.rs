@@ -24,10 +24,10 @@
 //!   sheds on *enqueue* — before any work is wasted — when the queue
 //!   head has been waiting above target for a full interval.
 //!
-//! [`ResiliencePolicy::default`] disables every mechanism; the engine
-//! then takes exactly its pre-resilience paths and seeded reports are
-//! bit-identical to runs without the layer (pinned by
-//! `tests/resilience.rs`).
+//! A mechanism is off when its policy is `None`; with
+//! [`ResiliencePolicy::default`] every one is, the engine takes exactly
+//! its pre-resilience paths and seeded reports are bit-identical to runs
+//! without the layer (pinned by `tests/subsystem_fingerprints.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -37,8 +37,6 @@ use crate::SimError;
 /// Per-dispatch timeout derived from the batch's remaining SLO budget.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimeoutPolicy {
-    /// Master switch; `false` (default) schedules no timeout events.
-    pub enabled: bool,
     /// Fraction of the earliest queued deadline's remaining slack
     /// granted to one dispatch attempt (the rest is kept for retries).
     pub slack_fraction: f64,
@@ -50,7 +48,6 @@ pub struct TimeoutPolicy {
 impl Default for TimeoutPolicy {
     fn default() -> Self {
         Self {
-            enabled: false,
             slack_fraction: 0.5,
             min_timeout_s: 0.01,
         }
@@ -95,8 +92,6 @@ impl Default for RetryPolicy {
 /// Hedged dispatch after an observed service-latency quantile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HedgePolicy {
-    /// Master switch; `false` (default) never issues duplicates.
-    pub enabled: bool,
     /// Service-time percentile (0–100, exclusive) after which an
     /// in-flight batch is hedged to a second worker.
     pub quantile: f64,
@@ -111,7 +106,6 @@ pub struct HedgePolicy {
 impl Default for HedgePolicy {
     fn default() -> Self {
         Self {
-            enabled: false,
             quantile: 95.0,
             min_samples: 32,
             min_delay_s: 0.002,
@@ -122,8 +116,6 @@ impl Default for HedgePolicy {
 /// Bounded per-queue admission with a CoDel-style sojourn threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionPolicy {
-    /// Master switch; `false` (default) admits everything.
-    pub enabled: bool,
     /// Hard cap on queue depth; an arrival finding the queue at the cap
     /// is shed on enqueue.
     pub queue_cap: usize,
@@ -138,7 +130,6 @@ pub struct AdmissionPolicy {
 impl Default for AdmissionPolicy {
     fn default() -> Self {
         Self {
-            enabled: false,
             queue_cap: 64,
             target_sojourn_s: 0.02,
             interval_s: 0.1,
@@ -147,18 +138,19 @@ impl Default for AdmissionPolicy {
 }
 
 /// The full request-level resilience configuration, hanging off
-/// [`crate::SimulationConfig`]. The default disables every mechanism
-/// and reproduces pre-resilience behavior bit-for-bit.
+/// [`crate::SimulationConfig`]. A mechanism is off when its policy is
+/// `None`; the default turns every one off and reproduces
+/// pre-resilience behavior bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// Dispatch timeouts from remaining SLO budget.
-    pub timeout: TimeoutPolicy,
+    pub timeout: Option<TimeoutPolicy>,
     /// Retry with backoff for timed-out queries (needs `timeout`).
     pub retry: RetryPolicy,
     /// Hedged dispatch past a latency quantile.
-    pub hedge: HedgePolicy,
+    pub hedge: Option<HedgePolicy>,
     /// Bounded queues + CoDel shed-on-enqueue.
-    pub admission: AdmissionPolicy,
+    pub admission: Option<AdmissionPolicy>,
 }
 
 impl ResiliencePolicy {
@@ -166,31 +158,17 @@ impl ResiliencePolicy {
     /// the one-liner used by benches and the chaos harness.
     pub fn all_on() -> Self {
         Self {
-            timeout: TimeoutPolicy {
-                enabled: true,
-                ..TimeoutPolicy::default()
-            },
+            timeout: Some(TimeoutPolicy::default()),
             retry: RetryPolicy {
                 max_retries: 2,
                 ..RetryPolicy::default()
             },
-            hedge: HedgePolicy {
-                enabled: true,
-                ..HedgePolicy::default()
-            },
-            admission: AdmissionPolicy {
-                enabled: true,
-                ..AdmissionPolicy::default()
-            },
+            hedge: Some(HedgePolicy::default()),
+            admission: Some(AdmissionPolicy::default()),
         }
     }
 
-    /// True when no mechanism is active (the engine skips the layer).
-    pub fn is_noop(&self) -> bool {
-        !self.timeout.enabled && !self.hedge.enabled && !self.admission.enabled
-    }
-
-    /// Checks every *enabled* mechanism's knobs: rejects NaN and
+    /// Checks every present mechanism's knobs: rejects NaN and
     /// non-finite values, zero or negative durations, fractions outside
     /// their range, and degenerate caps.
     ///
@@ -207,15 +185,15 @@ impl ResiliencePolicy {
             }
             Ok(())
         };
-        if self.timeout.enabled {
-            pos("timeout slack fraction", self.timeout.slack_fraction)?;
-            if self.timeout.slack_fraction > 1.0 {
+        if let Some(timeout) = &self.timeout {
+            pos("timeout slack fraction", timeout.slack_fraction)?;
+            if timeout.slack_fraction > 1.0 {
                 return bad(format!(
                     "resilience: timeout slack fraction must be <= 1, got {}",
-                    self.timeout.slack_fraction
+                    timeout.slack_fraction
                 ));
             }
-            pos("minimum timeout", self.timeout.min_timeout_s)?;
+            pos("minimum timeout", timeout.min_timeout_s)?;
             if self.retry.max_retries > 0 {
                 pos("retry backoff base", self.retry.backoff_base_s)?;
                 pos("retry backoff cap", self.retry.backoff_cap_s)?;
@@ -253,38 +231,35 @@ impl ResiliencePolicy {
                 }
             }
         }
-        if self.hedge.enabled {
-            if !self.hedge.quantile.is_finite()
-                || self.hedge.quantile <= 0.0
-                || self.hedge.quantile >= 100.0
-            {
+        if let Some(hedge) = &self.hedge {
+            if !hedge.quantile.is_finite() || hedge.quantile <= 0.0 || hedge.quantile >= 100.0 {
                 return bad(format!(
                     "resilience: hedge quantile must be in (0, 100), got {}",
-                    self.hedge.quantile
+                    hedge.quantile
                 ));
             }
             // Quantiles are percent (90.0 = p90). A value below 1 is
             // almost certainly a fraction (0.9) slipping through, which
             // would hedge virtually every dispatch; reject it loudly
             // instead of silently doubling the load.
-            if self.hedge.quantile < 1.0 {
+            if hedge.quantile < 1.0 {
                 return bad(format!(
                     "resilience: hedge quantile is a percent (e.g. 90.0), got {} — \
                      fractions in (0, 1) are rejected to catch unit confusion",
-                    self.hedge.quantile
+                    hedge.quantile
                 ));
             }
-            if self.hedge.min_samples == 0 {
+            if hedge.min_samples == 0 {
                 return bad("resilience: hedge min_samples must be at least 1".to_string());
             }
-            pos("hedge minimum delay", self.hedge.min_delay_s)?;
+            pos("hedge minimum delay", hedge.min_delay_s)?;
         }
-        if self.admission.enabled {
-            if self.admission.queue_cap == 0 {
+        if let Some(admission) = &self.admission {
+            if admission.queue_cap == 0 {
                 return bad("resilience: admission queue cap must be at least 1".to_string());
             }
-            pos("admission target sojourn", self.admission.target_sojourn_s)?;
-            pos("admission interval", self.admission.interval_s)?;
+            pos("admission target sojourn", admission.target_sojourn_s)?;
+            pos("admission interval", admission.interval_s)?;
         }
         Ok(())
     }
@@ -396,9 +371,6 @@ impl CoDelAdmission {
         depth: usize,
         front_enqueued_at: Option<Nanos>,
     ) -> Option<AdmissionVerdict> {
-        if !policy.enabled {
-            return None;
-        }
         let Some(front_at) = front_enqueued_at else {
             // Empty queue: no standing backlog, clock resets.
             self.first_above = None;
@@ -438,22 +410,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_noop_and_valid() {
-        let p = ResiliencePolicy::default();
-        assert!(p.is_noop());
-        assert!(p.validate().is_ok());
-        assert!(!ResiliencePolicy::all_on().is_noop());
+    fn default_and_all_on_policies_are_valid() {
+        assert!(ResiliencePolicy::default().validate().is_ok());
         assert!(ResiliencePolicy::all_on().validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_nan_and_degenerate_knobs() {
         let mut p = ResiliencePolicy::all_on();
-        p.timeout.slack_fraction = f64::NAN;
+        p.timeout.as_mut().unwrap().slack_fraction = f64::NAN;
         assert!(p.validate().is_err());
 
         let mut p = ResiliencePolicy::all_on();
-        p.timeout.min_timeout_s = 0.0;
+        p.timeout.as_mut().unwrap().min_timeout_s = 0.0;
         assert!(p.validate().is_err());
 
         let mut p = ResiliencePolicy::all_on();
@@ -469,21 +438,22 @@ mod tests {
         assert!(p.validate().is_err());
 
         let mut p = ResiliencePolicy::all_on();
-        p.hedge.quantile = 100.0;
+        p.hedge.as_mut().unwrap().quantile = 100.0;
         assert!(p.validate().is_err());
 
         let mut p = ResiliencePolicy::all_on();
-        p.admission.queue_cap = 0;
+        p.admission.as_mut().unwrap().queue_cap = 0;
         assert!(p.validate().is_err());
 
         let mut p = ResiliencePolicy::all_on();
-        p.admission.target_sojourn_s = -0.5;
+        p.admission.as_mut().unwrap().target_sojourn_s = -0.5;
         assert!(p.validate().is_err());
 
-        // Disabled mechanisms are not validated: garbage knobs behind an
-        // off switch cannot fail a run that never reads them.
-        let mut p = ResiliencePolicy::default();
-        p.hedge.quantile = f64::NAN;
+        // Retry knobs are only read after a timeout, so without one they
+        // are not validated.
+        let mut p = ResiliencePolicy::all_on();
+        p.timeout = None;
+        p.retry.jitter_frac = 1.5;
         assert!(p.validate().is_ok());
     }
 
@@ -493,7 +463,7 @@ mod tests {
         // It used to slip through the (0, 100) range check and hedge
         // nearly every dispatch.
         let mut p = ResiliencePolicy::all_on();
-        p.hedge.quantile = 0.95;
+        p.hedge.as_mut().unwrap().quantile = 0.95;
         let err = p.validate().unwrap_err();
         assert!(err.to_string().contains("percent"), "{err}");
 
@@ -516,7 +486,7 @@ mod tests {
         let mut p = ResiliencePolicy::all_on();
         p.retry.max_retries = 1;
         p.retry.budget_burst = 1.0;
-        p.hedge.quantile = 1.0;
+        p.hedge.as_mut().unwrap().quantile = 1.0;
         assert!(p.validate().is_ok());
     }
 
@@ -590,7 +560,6 @@ mod tests {
     #[test]
     fn codel_admits_below_target_and_caps_depth() {
         let policy = AdmissionPolicy {
-            enabled: true,
             queue_cap: 4,
             target_sojourn_s: 0.02,
             interval_s: 0.1,
@@ -610,7 +579,6 @@ mod tests {
     #[test]
     fn codel_sheds_after_sustained_sojourn_and_resets_on_empty() {
         let policy = AdmissionPolicy {
-            enabled: true,
             queue_cap: 100,
             target_sojourn_s: 0.02,
             interval_s: 0.1,
@@ -632,13 +600,6 @@ mod tests {
         // Below-target head also resets.
         assert_eq!(c.offer(&policy, 232_000_000, 2, Some(231_000_000)), None);
         assert_eq!(c.offer(&policy, 340_000_000, 2, Some(231_000_000)), None);
-    }
-
-    #[test]
-    fn disabled_admission_admits_everything() {
-        let policy = AdmissionPolicy::default();
-        let mut c = CoDelAdmission::default();
-        assert_eq!(c.offer(&policy, u64::MAX, usize::MAX, Some(0)), None);
     }
 
     #[test]

@@ -43,10 +43,7 @@ fn scenario() -> (Simulation<'static>, Trace, FaultPlan) {
 
 fn scenario_parts() -> (SimulationConfig, Trace, FaultPlan) {
     let config = SimulationConfig::new(2, 0.15).with_resilience(ResiliencePolicy {
-        timeout: TimeoutPolicy {
-            enabled: true,
-            ..TimeoutPolicy::default()
-        },
+        timeout: Some(TimeoutPolicy::default()),
         retry: RetryPolicy {
             max_retries: 1,
             ..RetryPolicy::default()
@@ -351,18 +348,14 @@ fn forcing_an_unknown_model_errors() {
 #[test]
 fn forcing_from_a_checkpoint_matches_forcing_from_time_zero() {
     let (config, trace, plan) = scenario_parts();
-    let sim = Simulation::new(
-        profile(),
-        config.with_checkpoints(CheckpointPolicy::every_events(200)),
-    )
-    .unwrap();
+    let sim = Simulation::new(profile(), config).unwrap();
 
     let mut decisions = VecDecisionSink::new();
     let mut snapshots = MemoryRecorder::new();
     let spec = RunSpec::trace(&trace)
         .faults(&plan)
         .decisions(&mut decisions)
-        .checkpoints(&mut snapshots);
+        .checkpoints(&mut snapshots, CheckpointPolicy::every_events(200));
     sim.execute(spec, &mut scheme(), &mut LoadMonitor::new())
         .unwrap();
     assert!(

@@ -74,8 +74,7 @@ proptest! {
         let trace = Trace::constant(load, duration);
         let config = SimulationConfig::new(workers, 0.15)
             .seeded(seed)
-            .with_resilience(ResiliencePolicy::all_on())
-            .with_checkpoints(CheckpointPolicy::every_events(every));
+            .with_resilience(ResiliencePolicy::all_on());
         let sim = Simulation::new(&profile, config).unwrap();
 
         let mut rec = MemoryRecorder::new();
@@ -83,7 +82,7 @@ proptest! {
         let spec = RunSpec::trace(&trace)
             .faults(&plan)
             .telemetry(&mut full_sink)
-            .checkpoints(&mut rec);
+            .checkpoints(&mut rec, CheckpointPolicy::every_events(every));
         let full = sim
             .execute(spec, &mut FastestFixed::new(fastest, routing), &mut LoadMonitor::new())
             .unwrap();
@@ -136,8 +135,7 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
     let config = SimulationConfig::new(3, 0.15)
         .seeded(4242)
         .with_resilience(ResiliencePolicy::all_on())
-        .with_autoscale(policy)
-        .with_checkpoints(CheckpointPolicy::every_events(150));
+        .with_autoscale(policy);
     let sim = Simulation::new(&profile, config).unwrap();
 
     let mut rec = MemoryRecorder::new();
@@ -147,7 +145,7 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
             RunSpec::trace(&trace)
                 .faults(&plan)
                 .telemetry(&mut full_sink)
-                .checkpoints(&mut rec),
+                .checkpoints(&mut rec, CheckpointPolicy::every_events(150)),
             &mut FastestFixed::new(fastest, Routing::PerWorkerShortestQueue),
             &mut LoadMonitor::new(),
         )

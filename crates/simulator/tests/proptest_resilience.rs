@@ -73,7 +73,6 @@ proptest! {
         drain_every in 2usize..8,
     ) {
         let policy = AdmissionPolicy {
-            enabled: true,
             queue_cap: cap,
             target_sojourn_s: 0.01,
             interval_s: 0.05,
@@ -114,7 +113,6 @@ proptest! {
         now in 0u64..1_000_000_000,
     ) {
         let policy = AdmissionPolicy {
-            enabled: true,
             queue_cap: cap,
             ..AdmissionPolicy::default()
         };

@@ -30,7 +30,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::event::{Action, Event, QueueId, ShedCause};
-use crate::sink::{ParsedLog, StreamHeader, TelemetrySink, UNKNOWN_SAMPLE_CAP};
+use crate::sink::{LatchedWriter, ParsedLog, StreamHeader, TelemetrySink, UNKNOWN_SAMPLE_CAP};
 
 /// Magic bytes a binary telemetry stream starts with.
 pub const BIN_MAGIC: [u8; 4] = *b"RMTB";
@@ -670,10 +670,7 @@ fn encode_header(sampling: Option<(f64, u64)>) -> Vec<u8> {
 /// by [`is_binary_stream`].
 #[derive(Debug)]
 pub struct BinSink<W: Write> {
-    out: W,
-    records: u64,
-    error: Option<io::Error>,
-    failed: bool,
+    out: LatchedWriter<W>,
     /// Reused per-record encode buffer (kind + length + payload), so
     /// steady-state recording allocates nothing.
     buf: Vec<u8>,
@@ -718,36 +715,29 @@ impl<W: Write> BinSink<W> {
     }
 
     fn with_header(out: W, sampling: Option<(f64, u64)>) -> Self {
-        let mut sink = Self {
+        let mut out = LatchedWriter::new(out, 0);
+        out.header(&encode_header(sampling));
+        Self {
             out,
-            records: 0,
-            error: None,
-            failed: false,
             buf: Vec::with_capacity(64),
             scratch: Vec::with_capacity(64),
-        };
-        let header = encode_header(sampling);
-        if let Err(e) = sink.out.write_all(&header) {
-            sink.error = Some(e);
-            sink.failed = true;
         }
-        sink
     }
 
     /// Records successfully written so far (the header not counted).
     pub fn records(&self) -> u64 {
-        self.records
+        self.out.records()
     }
 
     /// True once any write or flush has failed; further records are
     /// dropped.
     pub fn write_failed(&self) -> bool {
-        self.failed
+        self.out.failed()
     }
 
     /// Takes the latched I/O error, if any; the sink stays failed.
     pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
+        self.out.take_error()
     }
 
     /// Flushes and returns the writer, or the first latched I/O error.
@@ -755,37 +745,20 @@ impl<W: Write> BinSink<W> {
     /// # Errors
     ///
     /// Returns the first write or flush error encountered.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish()
     }
 }
 
 impl<W: Write> TelemetrySink for BinSink<W> {
     fn record(&mut self, event: &Event) {
-        if self.failed {
-            return;
-        }
         self.buf.clear();
         encode_record(&mut self.buf, &mut self.scratch, event);
-        if let Err(e) = self.out.write_all(&self.buf) {
-            self.error = Some(e);
-            self.failed = true;
-            return;
-        }
-        self.records += 1;
+        self.out.record(&self.buf);
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-                self.failed = true;
-            }
-        }
+        self.out.flush();
     }
 }
 

@@ -27,7 +27,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::event::Nanos;
-use crate::sink::{StreamHeader, JSONL_SCHEMA_VERSION};
+use crate::sink::{json_line, LatchedWriter, StreamHeader, JSONL_SCHEMA_VERSION};
 
 /// The stream tag decision logs carry in their schema header.
 pub const DECISION_STREAM: &str = "decisions";
@@ -241,10 +241,7 @@ impl DecisionSink for VecDecisionSink {
 /// `{"Schema":{"stream":"decisions",...}}` header record.
 #[derive(Debug)]
 pub struct JsonlDecisionSink<W: Write> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
-    failed: bool,
+    out: LatchedWriter<W>,
 }
 
 impl JsonlDecisionSink<BufWriter<File>> {
@@ -255,10 +252,8 @@ impl JsonlDecisionSink<BufWriter<File>> {
     /// Propagates the underlying file-creation error.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let mut sink = Self::new(BufWriter::new(File::create(path)?));
-        sink.write_line(
-            &serde_json::to_string(&StreamHeader::decisions()).expect("header serializes"),
-        );
-        sink.lines = 0; // the header is metadata, not a record
+        sink.out
+            .header(json_line(&StreamHeader::decisions()).as_bytes());
         Ok(sink)
     }
 }
@@ -267,39 +262,24 @@ impl<W: Write> JsonlDecisionSink<W> {
     /// Wraps an arbitrary writer (no header written).
     pub fn new(out: W) -> Self {
         Self {
-            out,
-            lines: 0,
-            error: None,
-            failed: false,
+            out: LatchedWriter::new(out, 0),
         }
     }
 
     /// Records successfully written so far (the header not counted).
     pub fn lines(&self) -> u64 {
-        self.lines
+        self.out.records()
     }
 
     /// True once any write or flush has failed; further records are
     /// dropped.
     pub fn write_failed(&self) -> bool {
-        self.failed
+        self.out.failed()
     }
 
     /// Takes the latched I/O error, if any; the sink stays failed.
     pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.failed {
-            return;
-        }
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-            return;
-        }
-        self.lines += 1;
+        self.out.take_error()
     }
 
     /// Flushes and returns the writer, or the first latched I/O error.
@@ -307,28 +287,18 @@ impl<W: Write> JsonlDecisionSink<W> {
     /// # Errors
     ///
     /// Returns the first write or flush error encountered.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish()
     }
 }
 
 impl<W: Write> DecisionSink for JsonlDecisionSink<W> {
     fn record(&mut self, record: &DecisionRecord) {
-        let line = serde_json::to_string(record).expect("decision records always serialize");
-        self.write_line(&line);
+        self.out.record(json_line(record).as_bytes());
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-                self.failed = true;
-            }
-        }
+        self.out.flush();
     }
 }
 

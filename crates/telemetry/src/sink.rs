@@ -185,6 +185,92 @@ impl TelemetrySink for RingSink {
     }
 }
 
+/// The writer behind every file sink: it counts the records written and
+/// latches the first I/O error. Once a write or flush fails, later
+/// writes are dropped and the error waits for [`Self::finish`] or
+/// [`Self::take_error`], so a run never panics mid-flight over I/O.
+#[derive(Debug)]
+pub(crate) struct LatchedWriter<W: Write> {
+    out: W,
+    records: u64,
+    error: Option<io::Error>,
+    failed: bool,
+}
+
+impl<W: Write> LatchedWriter<W> {
+    /// Wraps `out`, counting records from `records`.
+    pub(crate) fn new(out: W, records: u64) -> Self {
+        Self {
+            out,
+            records,
+            error: None,
+            failed: false,
+        }
+    }
+
+    /// Runs `op` on the writer unless an earlier operation failed,
+    /// latching its error. True when it ran and succeeded.
+    fn attempt(&mut self, op: impl FnOnce(&mut W) -> io::Result<()>) -> bool {
+        if self.failed {
+            return false;
+        }
+        if let Err(e) = op(&mut self.out) {
+            self.error = Some(e);
+            self.failed = true;
+            return false;
+        }
+        true
+    }
+
+    /// Writes stream metadata (not counted as a record).
+    pub(crate) fn header(&mut self, bytes: &[u8]) {
+        self.attempt(|out| out.write_all(bytes));
+    }
+
+    /// Writes one whole record, counting it once it is written.
+    pub(crate) fn record(&mut self, bytes: &[u8]) {
+        if self.attempt(|out| out.write_all(bytes)) {
+            self.records += 1;
+        }
+    }
+
+    /// Records written so far.
+    pub(crate) fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// True once any write or flush has failed.
+    pub(crate) fn failed(&self) -> bool {
+        self.failed
+    }
+
+    /// Takes the latched I/O error, if any; the writer stays failed.
+    pub(crate) fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
+    }
+
+    /// Flushes, latching any error.
+    pub(crate) fn flush(&mut self) {
+        self.attempt(Write::flush);
+    }
+
+    /// Flushes and returns the writer, or the first latched I/O error.
+    pub(crate) fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+/// `value` as one JSON line, newline included.
+pub(crate) fn json_line<T: Serialize>(value: &T) -> String {
+    let mut line = serde_json::to_string(value).expect("stream records always serialize");
+    line.push('\n');
+    line
+}
+
 /// A sink writing one JSON object per line (JSONL) to any writer.
 ///
 /// Serialization is deterministic — field order is declaration order
@@ -194,10 +280,7 @@ impl TelemetrySink for RingSink {
 /// mid-run.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
-    failed: bool,
+    out: LatchedWriter<W>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -275,9 +358,9 @@ impl JsonlSink<BufWriter<File>> {
         }
         file.set_len(offset as u64)?;
         file.seek(SeekFrom::Start(offset as u64))?;
-        let mut sink = Self::new(BufWriter::new(file));
-        sink.lines = lines;
-        Ok(sink)
+        Ok(Self {
+            out: LatchedWriter::new(BufWriter::new(file), lines),
+        })
     }
 }
 
@@ -285,29 +368,19 @@ impl<W: Write> JsonlSink<W> {
     /// Wraps an arbitrary writer.
     pub fn new(out: W) -> Self {
         Self {
-            out,
-            lines: 0,
-            error: None,
-            failed: false,
+            out: LatchedWriter::new(out, 0),
         }
     }
 
     /// Writes a metadata header line (not counted in
     /// [`JsonlSink::lines`]), latching any I/O error.
     fn write_header(&mut self, header: &StreamHeader) {
-        if self.failed {
-            return;
-        }
-        let line = serde_json::to_string(header).expect("header serializes");
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-        }
+        self.out.header(json_line(header).as_bytes());
     }
 
     /// Lines successfully written so far.
     pub fn lines(&self) -> u64 {
-        self.lines
+        self.out.records()
     }
 
     /// True once any write or flush has failed; further records are
@@ -315,14 +388,14 @@ impl<W: Write> JsonlSink<W> {
     /// [`JsonlSink::finish`]) use this to fail loudly instead of
     /// reporting a silently truncated log as success.
     pub fn write_failed(&self) -> bool {
-        self.failed
+        self.out.failed()
     }
 
     /// Takes the latched I/O error, if any. The sink stays failed —
     /// [`JsonlSink::write_failed`] remains `true` and subsequent
     /// records are still dropped; only ownership of the error moves.
     pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
+        self.out.take_error()
     }
 
     /// Flushes and returns the writer, or the first latched I/O error.
@@ -330,36 +403,18 @@ impl<W: Write> JsonlSink<W> {
     /// # Errors
     ///
     /// Returns the first write or flush error encountered.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish()
     }
 }
 
 impl<W: Write> TelemetrySink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
-        if self.failed {
-            return;
-        }
-        let line = serde_json::to_string(event).expect("events always serialize");
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-            return;
-        }
-        self.lines += 1;
+        self.out.record(json_line(event).as_bytes());
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-                self.failed = true;
-            }
-        }
+        self.out.flush();
     }
 }
 

@@ -29,7 +29,7 @@ stage "perfbench test" \
     cargo test --offline --release --manifest-path perfbench/Cargo.toml
 # Randomized resilience smoke: 25 seeded chaos runs, invariants checked
 # (determinism, conservation, counter agreement, hedge + admission
-# bounds, scale-event accounting, autoscaler-off bit-identity). The
+# bounds, scale-event accounting, no autoscale output without a policy). The
 # full 100-run sweep lives in the simulator's test suite.
 stage "chaos sweep (smoke)" cargo run -q -p ramsis-cli -- chaos --runs 25
 # Elastic-capacity smoke: a short diurnal day through the autoscaler
@@ -115,11 +115,10 @@ why_smoke() {
 }
 stage "why-smoke" why_smoke
 # Failure-detection smoke: 25 randomized chaos runs with the detector
-# forced on every scenario (detection-bound, reinstatement, breaker,
-# and health-off bit-identity invariants all checked), the canonical
-# gray-failure timeline, then the detection-frontier bench in smoke
-# mode (lag-within-bound + probe-cost monotonicity assertions,
-# results to BENCH_health.json).
+# forced on every scenario (detection-bound, reinstatement and breaker
+# invariants all checked), the canonical gray-failure timeline, then
+# the detection-frontier bench in smoke mode (lag-within-bound +
+# probe-cost monotonicity assertions, results to BENCH_health.json).
 health_smoke() {
     local out
     out="$(mktemp -d)"

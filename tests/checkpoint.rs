@@ -72,8 +72,7 @@ fn sim() -> Simulation<'static> {
         .seeded(0xC0FFEE)
         .with_resilience(ResiliencePolicy::all_on())
         .with_autoscale(autoscale)
-        .with_health(HealthPolicy::probing(0.05))
-        .with_checkpoints(CheckpointPolicy::every_events(150));
+        .with_health(HealthPolicy::probing(0.05));
     Simulation::new(profile(), config).expect("valid config")
 }
 
@@ -103,7 +102,7 @@ fn full_run() -> (String, Vec<String>, Vec<EngineSnapshot>) {
             RunSpec::trace(&trace)
                 .faults(&plan)
                 .telemetry(&mut sink)
-                .checkpoints(&mut rec),
+                .checkpoints(&mut rec, CheckpointPolicy::every_events(150)),
             &mut scheme(),
             &mut LoadMonitor::new(),
         )

@@ -7,7 +7,8 @@
 
 use ramsis::prelude::*;
 use ramsis::sim::{
-    CheckpointPolicy, FastestFixed, FaultPlan, MemoryRecorder, ResiliencePolicy, Routing,
+    CheckpointPolicy, FastestFixed, FaultPlan, HedgePolicy, MemoryRecorder, ResiliencePolicy,
+    Routing, TimeoutPolicy,
 };
 use ramsis::telemetry::{critical_path, reconstruct_spans, JsonlSink, Profiler, VecDecisionSink};
 
@@ -27,13 +28,16 @@ fn profile() -> &'static WorkerProfile {
 /// under timeouts, retries, and hedging — every span segment kind
 /// (wait, service, wasted, backoff, hedge overlap) gets exercised.
 fn resilience_fixture() -> (SimulationConfig, FaultPlan, Trace) {
-    let mut policy = ResiliencePolicy::default();
-    policy.timeout.enabled = true;
+    let mut policy = ResiliencePolicy {
+        timeout: Some(TimeoutPolicy::default()),
+        hedge: Some(HedgePolicy {
+            min_samples: 16,
+            quantile: 85.0,
+            min_delay_s: 0.001,
+        }),
+        ..ResiliencePolicy::default()
+    };
     policy.retry.max_retries = 3;
-    policy.hedge.enabled = true;
-    policy.hedge.min_samples = 16;
-    policy.hedge.quantile = 85.0;
-    policy.hedge.min_delay_s = 0.001;
     let plan = FaultPlan::none()
         .slowdown(0, 2.0, 16.0, 10.0)
         .crash(1, 6.0)
@@ -54,8 +58,7 @@ enum Prof {
 }
 
 /// One traced run of the fixture with the given observers attached:
-/// a profiler, a decision sink, a checkpoint recorder (which needs
-/// the checkpoint policy enabled in the config). Returns the report,
+/// a profiler, a decision sink, a checkpoint recorder. Returns the report,
 /// the JSONL event stream, and the profiler if one was attached.
 fn traced_run(
     prof: Prof,
@@ -63,11 +66,6 @@ fn traced_run(
     recorder: bool,
 ) -> (SimulationReport, Vec<u8>, Option<Profiler>) {
     let (config, plan, trace) = resilience_fixture();
-    let config = if recorder {
-        config.with_checkpoints(CheckpointPolicy::every_events(500))
-    } else {
-        config
-    };
     let sim = Simulation::new(profile(), config).expect("valid simulation config");
     let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
@@ -87,7 +85,7 @@ fn traced_run(
         spec = spec.decisions(&mut decision_sink);
     }
     if recorder {
-        spec = spec.checkpoints(&mut rec);
+        spec = spec.checkpoints(&mut rec, CheckpointPolicy::every_events(500));
     }
     let report = sim
         .execute(spec, &mut scheme, &mut monitor)

@@ -1,10 +1,11 @@
 //! Request-level resilience through the facade: timeouts rescue
 //! stragglers, hedges duplicate without double-counting, admission
-//! bounds the queues, and the disabled policy is bit-identical to the
-//! pre-resilience engine.
+//! bounds the queues, and retry knobs are inert without a timeout.
 
 use ramsis::prelude::*;
-use ramsis::sim::{FastestFixed, FaultPlan, ResiliencePolicy, Routing};
+use ramsis::sim::{
+    AdmissionPolicy, FastestFixed, FaultPlan, HedgePolicy, ResiliencePolicy, Routing, TimeoutPolicy,
+};
 use ramsis::telemetry::{conservation, Event, QueueId, VecSink};
 
 fn profile() -> &'static WorkerProfile {
@@ -46,8 +47,10 @@ fn timeouts_and_retries_rescue_a_straggler() {
     // Worker 0 runs 15x slower for most of the run; round-robin keeps
     // feeding it. With timeouts + retries its victims get re-dispatched
     // instead of waiting out the straggler.
-    let mut policy = ResiliencePolicy::default();
-    policy.timeout.enabled = true;
+    let mut policy = ResiliencePolicy {
+        timeout: Some(TimeoutPolicy::default()),
+        ..ResiliencePolicy::default()
+    };
     policy.retry.max_retries = 3;
     let plan = FaultPlan::none().slowdown(0, 1.0, 19.0, 15.0);
     let config = SimulationConfig::new(3, 0.15)
@@ -71,11 +74,14 @@ fn timeouts_and_retries_rescue_a_straggler() {
 
 #[test]
 fn hedged_queries_are_counted_exactly_once() {
-    let mut policy = ResiliencePolicy::default();
-    policy.hedge.enabled = true;
-    policy.hedge.min_samples = 16;
-    policy.hedge.quantile = 85.0;
-    policy.hedge.min_delay_s = 0.001;
+    let policy = ResiliencePolicy {
+        hedge: Some(HedgePolicy {
+            min_samples: 16,
+            quantile: 85.0,
+            min_delay_s: 0.001,
+        }),
+        ..ResiliencePolicy::default()
+    };
     let plan = FaultPlan::none().slowdown(0, 2.0, 18.0, 8.0);
     let config = SimulationConfig::new(4, 0.15)
         .seeded(33)
@@ -100,9 +106,13 @@ fn hedged_queries_are_counted_exactly_once() {
 
 #[test]
 fn admission_caps_queue_depth_in_the_event_stream() {
-    let mut policy = ResiliencePolicy::default();
-    policy.admission.enabled = true;
-    policy.admission.queue_cap = 6;
+    let policy = ResiliencePolicy {
+        admission: Some(AdmissionPolicy {
+            queue_cap: 6,
+            ..AdmissionPolicy::default()
+        }),
+        ..ResiliencePolicy::default()
+    };
     // One slow worker, heavy load: the queue would grow without bound.
     let config = SimulationConfig::new(1, 0.15)
         .seeded(4)
@@ -127,10 +137,9 @@ fn admission_caps_queue_depth_in_the_event_stream() {
 }
 
 #[test]
-fn disabled_policy_is_bit_identical_regardless_of_knobs() {
-    // The regression pin for "default = today's behavior": a policy
-    // whose switches are off must not perturb the simulation no matter
-    // what its (ignored) knobs say.
+fn retry_knobs_without_a_timeout_are_inert() {
+    // Retries only follow a timeout: without one, no retry knob may
+    // perturb the simulation.
     let plan = FaultPlan::none().slowdown(0, 2.0, 8.0, 3.0);
     let run = |policy: ResiliencePolicy| {
         traced_run(
@@ -147,17 +156,13 @@ fn disabled_policy_is_bit_identical_regardless_of_knobs() {
     let (r_default, e_default) = run(ResiliencePolicy::default());
 
     let mut weird = ResiliencePolicy::default();
-    weird.timeout.slack_fraction = 0.01;
-    weird.timeout.min_timeout_s = 1e-6;
+    weird.retry.max_retries = 5;
     weird.retry.backoff_base_s = 5.0;
     weird.retry.jitter_seed = 0xDEAD_BEEF;
-    weird.hedge.quantile = 50.0;
-    weird.hedge.min_samples = 1;
-    weird.admission.queue_cap = 1;
-    assert!(weird.is_noop(), "switches stay off");
+    weird.retry.budget_burst = 1e6;
     let (r_weird, e_weird) = run(weird);
 
-    assert_eq!(r_default, r_weird, "disabled knobs must not leak");
+    assert_eq!(r_default, r_weird, "retry knobs must not leak");
     assert_eq!(e_default, e_weird, "event streams must match exactly");
     assert_eq!(
         serde_json::to_string(&r_default).unwrap(),
