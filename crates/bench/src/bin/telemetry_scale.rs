@@ -13,7 +13,7 @@
 //!   regression guard; the raw DES-wall ratio is recorded ungated —
 //!   the simulator retires events in under 100 ns, so a fractional
 //!   gate against its wall clock would measure the simulator's speed,
-//!   not the telemetry's cost (see `decision_overhead` for the same
+//!   not the telemetry's cost (see `observer_overhead` for the same
 //!   argument)
 //!
 //! ```text

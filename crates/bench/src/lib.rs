@@ -46,10 +46,7 @@ pub use harness::{
     build_profile, ms_scheme, ramsis_policy_set, run_scheme, MonitorKind, RunOutcome,
 };
 pub use output::{ascii_plot, render_table, write_csv, write_json};
-pub use perf::{
-    run_perf_baseline, run_scenario, BenchPerf, PerfBaselineConfig, ScenarioPerf,
-    BENCH_PERF_SCHEMA_VERSION, SCENARIOS,
-};
+pub use perf::{run_scenario, PerfScenarioConfig, SCENARIOS};
 pub use resilience::{run_resilience_surge, ResilienceSurgeConfig, ResilienceSurgeOutcome};
 pub use robustness::{run_robustness, RobustnessConfig, RobustnessOutcome};
 pub use telemetry_scale::{

@@ -44,7 +44,7 @@ pub const BIN_SPEEDUP_GATE: f64 = 3.0;
 /// of a real serving system's time budget. The raw DES-wall ratio is
 /// recorded too but not fractionally gated: this simulator retires an
 /// event in under 100 ns, so any per-event work looks enormous against
-/// it (see `decision_overhead` for the same argument); the per-event
+/// it (see `observer_overhead` for the same argument); the per-event
 /// regression guard is [`SAMPLED_NS_GATE`].
 pub const SAMPLED_OVERHEAD_GATE: f64 = 0.01;
 

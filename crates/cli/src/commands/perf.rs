@@ -5,14 +5,13 @@
 //! ramsis-cli perf [--scenario NAME] [--seed S] [--smoke] [--json]
 //! ```
 //!
-//! Scenarios are the `perf_baseline` matrix (`constant_load`,
-//! `surge_faults`, `adaptive_drift`); the output is the phase
-//! flame-table (self/total wall time per engine phase), the hot-path
-//! counters, the depth gauges, and — for scenarios that solve online —
-//! per-solver sweep summaries. `--json` emits the full
+//! Scenarios are the pinned matrix of `ramsis_bench::perf`
+//! (`constant_load`, `surge_faults`, `adaptive_drift`); the output is
+//! the phase flame-table (self/total wall time per engine phase), the
+//! hot-path counters and the depth gauges. `--json` emits the full
 //! [`ramsis_telemetry::ProfileReport`] instead.
 
-use ramsis_bench::{run_scenario, PerfBaselineConfig, SCENARIOS};
+use ramsis_bench::{run_scenario, PerfScenarioConfig, SCENARIOS};
 use serde::Serialize;
 
 /// The `--json` document: headline run facts plus the full profile.
@@ -29,7 +28,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut scenario = "constant_load".to_string();
     let mut json = false;
     let mut smoke = false;
-    let mut cfg = PerfBaselineConfig::default();
+    let mut cfg = PerfScenarioConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -91,21 +90,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "  {:<20} peak {}, mean {:.1} over {} samples",
             g.gauge, g.peak, g.mean, g.samples
         );
-    }
-    if !profile.solvers.is_empty() {
-        println!("solvers:");
-        for s in &profile.solvers {
-            println!(
-                "  {:<20} {} sweeps, {} states, {:.1} ms total ({:.3} ms/sweep), residual {:.2e}{}",
-                s.method,
-                s.sweeps,
-                s.states_touched,
-                s.total_s * 1e3,
-                s.mean_sweep_s * 1e3,
-                s.final_residual,
-                if s.converged { "" } else { " (NOT CONVERGED)" }
-            );
-        }
     }
     Ok(())
 }

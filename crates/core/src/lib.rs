@@ -53,7 +53,7 @@ pub use guarantees::{AccuracyDistribution, Guarantees};
 pub use policy::{Decision, WorkerPolicy};
 pub use policy_set::{DegradablePolicySet, PolicySet};
 pub use ramsis_mdp::{ConvergenceTrace, SweepRecord};
-pub use regime::{ElasticPolicyLibrary, PolicyLibrary, ShedPolicy};
+pub use regime::{PolicyLibrary, ShedPolicy};
 pub use state::{State, StateSpace};
 
 /// The Poisson arrival process (re-exported for API convenience; the

@@ -214,129 +214,6 @@ impl PolicyLibrary {
     }
 }
 
-/// A [`PolicyLibrary`] per live-worker count, for elastic pools.
-///
-/// Autoscaling changes the worker count `K` behind the balancer, and the
-/// MDP transitions depend on `K` (each worker sees every `K`-th
-/// arrival). A policy solved for the nominal pool is too optimistic the
-/// moment the pool shrinks, and wastefully conservative when it grows.
-/// The elastic library keys solved sets on `(live_workers, regime)`:
-/// each worker count gets its own [`PolicyLibrary`] over the shared
-/// [`RegimeGrid`], solved lazily as the autoscaler first visits that
-/// pool size, so membership changes switch policies without a solver in
-/// the critical path after the first visit.
-///
-/// Lookups degrade safely: [`Self::get_conservative`] falls back to the
-/// largest solved pool *at most* the live count — a set solved for
-/// fewer workers assumes each worker carries a larger share of the
-/// load, so serving with it is conservative, never optimistic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ElasticPolicyLibrary {
-    grid: RegimeGrid,
-    /// Count dispersion bursty regimes are solved against.
-    bursty_dispersion: f64,
-    /// `(worker count, library)`, ascending by worker count.
-    pools: Vec<(usize, PolicyLibrary)>,
-}
-
-impl ElasticPolicyLibrary {
-    /// Creates an empty elastic library over `grid`; populate it with
-    /// [`Self::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects `bursty_dispersion <= 1` (as [`PolicyLibrary::empty`]).
-    pub fn empty(grid: RegimeGrid, bursty_dispersion: f64) -> Result<Self, CoreError> {
-        // Validate the dispersion once, up front, with the same rule
-        // every per-pool library will apply.
-        PolicyLibrary::empty(grid.clone(), bursty_dispersion)?;
-        Ok(Self {
-            grid,
-            bursty_dispersion,
-            pools: Vec::new(),
-        })
-    }
-
-    /// The grid the library is keyed over.
-    pub fn grid(&self) -> &RegimeGrid {
-        &self.grid
-    }
-
-    /// The worker counts with at least one solved regime, ascending.
-    pub fn worker_counts(&self) -> Vec<usize> {
-        self.pools.iter().map(|&(k, _)| k).collect()
-    }
-
-    /// Total number of solved `(workers, regime)` entries.
-    pub fn len(&self) -> usize {
-        self.pools.iter().map(|(_, lib)| lib.len()).sum()
-    }
-
-    /// Whether no entry has been solved yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `(workers, key)` has a solved set.
-    pub fn contains(&self, workers: usize, key: RegimeKey) -> bool {
-        self.get(workers, key).is_some()
-    }
-
-    /// The policy set solved for exactly `(workers, key)`, if any.
-    pub fn get(&self, workers: usize, key: RegimeKey) -> Option<&PolicySet> {
-        self.pools
-            .binary_search_by(|&(k, _)| k.cmp(&workers))
-            .ok()
-            .and_then(|i| self.pools[i].1.get(key))
-    }
-
-    /// The policy set for `key` solved at the largest worker count
-    /// `<= live` — the safe direction when the exact pool size has not
-    /// been solved yet (the set assumes each worker carries at least
-    /// its real share of the load). Returns the solved count alongside
-    /// the set; `None` when nothing at or below `live` is solved.
-    pub fn get_conservative(&self, live: usize, key: RegimeKey) -> Option<(usize, &PolicySet)> {
-        self.pools
-            .iter()
-            .rev()
-            .filter(|&&(k, _)| k <= live)
-            .find_map(|&(k, ref lib)| lib.get(key).map(|set| (k, set)))
-    }
-
-    /// Solves the set for `(workers, key)` and inserts it, overriding
-    /// `config.workers` with the requested pool size. No-op if already
-    /// solved.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `workers == 0`, the out-of-grid bin, and propagates
-    /// generation failures.
-    pub fn solve(
-        &mut self,
-        profile: &WorkerProfile,
-        config: &PolicyConfig,
-        workers: usize,
-        key: RegimeKey,
-    ) -> Result<(), CoreError> {
-        if workers == 0 {
-            return Err(CoreError::InvalidConfig(
-                "cannot solve a policy for an empty pool".into(),
-            ));
-        }
-        let at = match self.pools.binary_search_by(|&(k, _)| k.cmp(&workers)) {
-            Ok(i) => i,
-            Err(i) => {
-                let lib = PolicyLibrary::empty(self.grid.clone(), self.bursty_dispersion)?;
-                self.pools.insert(i, (workers, lib));
-                i
-            }
-        };
-        let mut cfg = config.clone();
-        cfg.workers = workers;
-        self.pools[at].1.solve(profile, &cfg, key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,66 +377,6 @@ mod tests {
             assert_eq!(serde_json::from_str::<ShedPolicy>(&json).unwrap(), shed);
         }
         assert_eq!(ShedPolicy::default(), ShedPolicy::Never);
-    }
-
-    #[test]
-    fn elastic_library_keys_on_workers_and_regime() {
-        let mut lib = ElasticPolicyLibrary::empty(grid(), 4.0).unwrap();
-        assert!(lib.is_empty());
-        let key = RegimeKey::new(0, DispersionClass::Poisson);
-        lib.solve(profile(), &quick_config(), 2, key).unwrap();
-        lib.solve(profile(), &quick_config(), 4, key).unwrap();
-        // Re-solving an existing entry is a no-op.
-        lib.solve(profile(), &quick_config(), 4, key).unwrap();
-        assert_eq!(lib.len(), 2);
-        assert_eq!(lib.worker_counts(), vec![2, 4]);
-        assert!(lib.contains(2, key));
-        assert!(!lib.contains(3, key));
-        // Exact lookup misses unsolved pool sizes; the conservative
-        // lookup degrades to the largest solved count at most `live`.
-        assert!(lib.get(3, key).is_none());
-        let (k, _) = lib.get_conservative(3, key).unwrap();
-        assert_eq!(k, 2);
-        let (k, _) = lib.get_conservative(9, key).unwrap();
-        assert_eq!(k, 4);
-        assert!(lib.get_conservative(1, key).is_none());
-        // Sets are genuinely solved per worker count: the pool size in
-        // the policy's config differs.
-        let two = lib.get(2, key).unwrap().policies()[0].clone();
-        let four = lib.get(4, key).unwrap().policies()[0].clone();
-        assert_ne!(two, four);
-    }
-
-    #[test]
-    fn elastic_library_rejects_bad_shapes() {
-        assert!(ElasticPolicyLibrary::empty(grid(), 1.0).is_err());
-        let mut lib = ElasticPolicyLibrary::empty(grid(), 4.0).unwrap();
-        let key = RegimeKey::new(0, DispersionClass::Poisson);
-        assert!(lib.solve(profile(), &quick_config(), 0, key).is_err());
-        assert!(lib
-            .solve(
-                profile(),
-                &quick_config(),
-                2,
-                RegimeKey::new(9, DispersionClass::Poisson)
-            )
-            .is_err());
-        assert!(lib.is_empty());
-    }
-
-    #[test]
-    fn elastic_library_round_trips_serde() {
-        let mut lib = ElasticPolicyLibrary::empty(grid(), 4.0).unwrap();
-        lib.solve(
-            profile(),
-            &quick_config(),
-            2,
-            RegimeKey::new(0, DispersionClass::Poisson),
-        )
-        .unwrap();
-        let json = serde_json::to_string(&lib).unwrap();
-        let back: ElasticPolicyLibrary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, lib);
     }
 
     #[test]

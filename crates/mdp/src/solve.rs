@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use ramsis_telemetry::{Phase, Profiler, SolverProfile};
 use serde::{Deserialize, Serialize};
 
 use crate::model::SparseMdp;
@@ -69,27 +68,6 @@ impl ConvergenceTrace {
     /// Total states backed up across all sweeps.
     pub fn states_touched(&self) -> u64 {
         self.sweeps.iter().map(|s| s.states).sum()
-    }
-
-    /// Summarizes the trace as a [`SolverProfile`] for
-    /// [`Profiler::record_solver`] — the bridge between the solver's
-    /// per-sweep record and the profiling layer's flat report.
-    pub fn profile(&self) -> SolverProfile {
-        let sweeps = self.sweeps.len() as u64;
-        SolverProfile {
-            method: self.method.clone(),
-            converged: self.converged,
-            sweeps,
-            states_touched: self.states_touched(),
-            total_s: self.total_s,
-            mean_sweep_s: if sweeps == 0 {
-                0.0
-            } else {
-                self.sweeps.iter().map(|s| s.elapsed_s).sum::<f64>() / sweeps as f64
-            },
-            max_sweep_s: self.sweeps.iter().map(|s| s.elapsed_s).fold(0.0, f64::max),
-            final_residual: self.final_residual(),
-        }
     }
 }
 
@@ -159,26 +137,6 @@ pub fn value_iteration_traced(
     let mut trace = ConvergenceTrace::new("value-iteration");
     let solution = value_iteration_impl(mdp, options, Some(&mut trace));
     (solution, trace)
-}
-
-/// [`value_iteration`] timed under the profiler's `solve` phase, with
-/// the per-sweep trace folded into the profile
-/// ([`ConvergenceTrace::profile`]). With the profiler disabled this is
-/// exactly [`value_iteration`]: no trace is collected and the returned
-/// solution is bit-identical.
-pub fn value_iteration_profiled(
-    mdp: &SparseMdp,
-    options: &SolveOptions,
-    prof: &mut Profiler,
-) -> Solution {
-    if !prof.is_on() {
-        return value_iteration(mdp, options);
-    }
-    prof.enter(Phase::Solve);
-    let (solution, trace) = value_iteration_traced(mdp, options);
-    prof.record_solver(trace.profile());
-    prof.exit(Phase::Solve);
-    solution
 }
 
 fn value_iteration_impl(
@@ -269,23 +227,6 @@ pub fn value_iteration_gauss_seidel_traced(
     let mut trace = ConvergenceTrace::new("gauss-seidel");
     let solution = value_iteration_gauss_seidel_impl(mdp, options, Some(&mut trace));
     (solution, trace)
-}
-
-/// [`value_iteration_gauss_seidel`] timed under the profiler's `solve`
-/// phase (see [`value_iteration_profiled`]).
-pub fn value_iteration_gauss_seidel_profiled(
-    mdp: &SparseMdp,
-    options: &SolveOptions,
-    prof: &mut Profiler,
-) -> Solution {
-    if !prof.is_on() {
-        return value_iteration_gauss_seidel(mdp, options);
-    }
-    prof.enter(Phase::Solve);
-    let (solution, trace) = value_iteration_gauss_seidel_traced(mdp, options);
-    prof.record_solver(trace.profile());
-    prof.exit(Phase::Solve);
-    solution
 }
 
 fn value_iteration_gauss_seidel_impl(

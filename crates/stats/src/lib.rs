@@ -24,5 +24,5 @@ pub mod summary;
 
 pub use counts::{ArrivalProcess, CountTable, NegativeBinomialProcess, PoissonProcess};
 pub use sampling::{sample_exponential, sample_gamma, sample_truncated_normal};
-pub use streaming::{Counter, Gauge, LogHistogram, MetricsRegistry};
-pub use summary::{Histogram, MovingAverage, OnlineStats, Percentiles};
+pub use streaming::LogHistogram;
+pub use summary::{MovingAverage, OnlineStats, Percentiles};

@@ -4,17 +4,14 @@
 //! [`crate::Percentiles`] vector and sorted it at report time — fine
 //! for a 30-second run, hostile to the production north-star where a
 //! single run completes millions of queries. This module provides the
-//! replacements: a [`Counter`], a [`Gauge`], and a log-bucketed
-//! [`LogHistogram`] in the spirit of HdrHistogram — bounded memory,
-//! O(1) record, mergeable snapshots, and percentiles with a known
-//! relative error. A [`MetricsRegistry`] bundles named instances for
-//! ad-hoc aggregation (the CLI's trace renderer uses one).
+//! replacement: a log-bucketed [`LogHistogram`] in the spirit of
+//! HdrHistogram — bounded memory, O(1) record, mergeable snapshots,
+//! and percentiles with a known relative error.
 //!
 //! Everything here is deterministic: no wall clock, no randomness, and
 //! identical inputs produce identical serialized snapshots.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
 
 /// Number of sub-bucket bits: each power-of-two range is split into
 /// `2^SUB_BITS` equal-width buckets, bounding the relative error of any
@@ -26,58 +23,6 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// `2^SUB_BITS` values exactly, then one doubling range of `2^SUB_BITS`
 /// sub-buckets per mantissa shift (shift runs 0..=63 − SUB_BITS).
 const N_BUCKETS: usize = (SUB_COUNT + (64 - SUB_BITS as u64) * SUB_COUNT) as usize;
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Folds another counter in.
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 += other.0;
-    }
-}
-
-/// A last-write-wins instantaneous value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Self(0.0)
-    }
-
-    /// Sets the current value.
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
 
 /// Log-bucketed histogram over `u64` values (HdrHistogram-style).
 ///
@@ -284,69 +229,6 @@ impl Deserialize for LogHistogram {
     }
 }
 
-/// A named bundle of counters, gauges, and histograms.
-///
-/// Keys are `BTreeMap`-ordered so iteration (and serialization) order
-/// is deterministic. Two registries from parallel shards merge
-/// key-wise.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, LogHistogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter named `name`, created zeroed on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
-    }
-
-    /// The gauge named `name`, created zeroed on first use.
-    pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_owned()).or_default()
-    }
-
-    /// The histogram named `name`, created empty on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut LogHistogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
-    /// Counter value, 0 when absent (read-only lookup).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges another registry key-wise (counters add, gauges take the
-    /// other's value when present, histograms merge bucket-wise).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.counters.entry(k.clone()).or_default().merge(v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,28 +402,5 @@ mod tests {
                 last = q;
             }
         }
-    }
-
-    #[test]
-    fn registry_named_metrics_and_merge() {
-        let mut r = MetricsRegistry::new();
-        r.counter("sheds").add(3);
-        r.counter("sheds").inc();
-        r.gauge("depth").set(4.5);
-        r.histogram("latency").record(100);
-        assert_eq!(r.counter_value("sheds"), 4);
-        assert_eq!(r.counter_value("absent"), 0);
-        assert_eq!(r.gauge("depth").get(), 4.5);
-
-        let mut other = MetricsRegistry::new();
-        other.counter("sheds").add(6);
-        other.counter("drops").inc();
-        other.histogram("latency").record(200);
-        r.merge(&other);
-        assert_eq!(r.counter_value("sheds"), 10);
-        assert_eq!(r.counter_value("drops"), 1);
-        assert_eq!(r.histogram("latency").count(), 2);
-        let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, ["drops", "sheds"]);
     }
 }

@@ -213,71 +213,6 @@ impl Percentiles {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(
-            lo < hi,
-            "histogram range must be non-empty, got [{lo}, {hi})"
-        );
-        assert!(bins > 0, "histogram needs at least one bin");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let i = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[i] += 1;
-        }
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 /// Time-windowed event-rate estimator — the load monitor of paper §6.
 ///
 /// Tracks query load as the number of arrivals over a sliding window
@@ -420,20 +355,6 @@ mod tests {
     fn percentiles_rejects_out_of_range() {
         let mut p = Percentiles::from_values(vec![1.0]);
         let _ = p.percentile(101.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.total(), 7);
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub use decisions::{
 pub use event::{Action, Event, Nanos, QueueId, ShedCause};
 pub use profile::{
     CounterStat, GaugeId, GaugeStat, HotCounter, Phase, PhaseStat, ProfileReport, Profiler,
-    SolverProfile,
 };
 pub use sample::{query_weights, SamplePolicy, SamplingSink};
 pub use sink::{

@@ -22,10 +22,6 @@
 //! contract for event tracing. [`Profiler::report`] snapshots
 //! everything into a serializable [`ProfileReport`] that also renders
 //! as a text flame-table ([`ProfileReport::flame_table`]).
-//!
-//! Offline solver cost is folded in through [`SolverProfile`] — a
-//! summary of a per-sweep convergence trace recorded by the MDP
-//! crate's traced solvers.
 
 use std::time::Instant;
 
@@ -246,7 +242,6 @@ pub struct Profiler {
     frames: [PhaseFrame; Phase::COUNT],
     counters: [u64; HotCounter::COUNT],
     gauges: [GaugeFrame; GaugeId::COUNT],
-    solvers: Vec<SolverProfile>,
 }
 
 impl Profiler {
@@ -269,7 +264,6 @@ impl Profiler {
             frames: [PhaseFrame::default(); Phase::COUNT],
             counters: [0; HotCounter::COUNT],
             gauges: [GaugeFrame::default(); GaugeId::COUNT],
-            solvers: Vec::new(),
         }
     }
 
@@ -362,14 +356,6 @@ impl Profiler {
         }
     }
 
-    /// Folds one offline solve's convergence summary into the profile.
-    /// Solves are never on the hot path, so this may allocate.
-    pub fn record_solver(&mut self, s: SolverProfile) {
-        if self.on {
-            self.solvers.push(s);
-        }
-    }
-
     /// Snapshots everything into a serializable report.
     pub fn report(&self) -> ProfileReport {
         let phases: Vec<PhaseStat> = Phase::ALL
@@ -422,7 +408,6 @@ impl Profiler {
             phases,
             counters,
             gauges,
-            solvers: self.solvers.clone(),
         }
     }
 }
@@ -462,32 +447,9 @@ pub struct GaugeStat {
     pub samples: u64,
 }
 
-/// Summary of one offline MDP solve, distilled from a per-sweep
-/// convergence trace (the MDP crate's traced solvers produce the
-/// trace; its `profile()` adapter builds this).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SolverProfile {
-    /// Solver name (e.g. `"value-iteration"`).
-    pub method: String,
-    /// Whether the residual crossed the stopping threshold.
-    pub converged: bool,
-    /// Sweeps performed.
-    pub sweeps: u64,
-    /// Total states backed up across all sweeps.
-    pub states_touched: u64,
-    /// Total wall-clock solve time, seconds.
-    pub total_s: f64,
-    /// Mean per-sweep wall time, seconds (0 with no sweeps).
-    pub mean_sweep_s: f64,
-    /// Slowest single sweep, seconds.
-    pub max_sweep_s: f64,
-    /// Residual after the final sweep (`INFINITY` when no sweep ran).
-    pub final_residual: f64,
-}
-
 /// Everything the profiler saw, as data: phase timings, hot-path
-/// counters, gauges, and solver summaries. Serializes to JSON for
-/// `BENCH_perf.json`-style artifacts and renders as a text flame-table.
+/// counters and gauges. Serializes to JSON (`ramsis-cli perf --json`)
+/// and renders as a text flame-table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
     /// False when produced by a disabled profiler (all zeros).
@@ -504,8 +466,6 @@ pub struct ProfileReport {
     pub counters: Vec<CounterStat>,
     /// Every gauge, in declaration order.
     pub gauges: Vec<GaugeStat>,
-    /// One entry per recorded offline solve.
-    pub solvers: Vec<SolverProfile>,
 }
 
 impl ProfileReport {
@@ -569,16 +529,6 @@ mod tests {
         p.enter(Phase::Arrival);
         p.incr(HotCounter::HeapPops);
         p.gauge(GaugeId::HeapDepth, 42);
-        p.record_solver(SolverProfile {
-            method: "vi".into(),
-            converged: true,
-            sweeps: 1,
-            states_touched: 1,
-            total_s: 0.1,
-            mean_sweep_s: 0.1,
-            max_sweep_s: 0.1,
-            final_residual: 0.0,
-        });
         p.exit(Phase::Arrival);
         p.run_end();
         let r = p.report();
@@ -586,7 +536,6 @@ mod tests {
         assert_eq!(r.wall_ns, 0);
         assert_eq!(r.events_processed, 0);
         assert!(r.phases.is_empty());
-        assert!(r.solvers.is_empty());
         assert!(r.counters.iter().all(|c| c.value == 0));
         assert!(r.gauges.iter().all(|g| g.samples == 0));
     }
@@ -644,16 +593,6 @@ mod tests {
         p.exit(Phase::Solve);
         p.incr(HotCounter::Dispatches);
         p.gauge(GaugeId::HeapDepth, 7);
-        p.record_solver(SolverProfile {
-            method: "value-iteration".into(),
-            converged: true,
-            sweeps: 12,
-            states_touched: 1200,
-            total_s: 0.5,
-            mean_sweep_s: 0.04,
-            max_sweep_s: 0.1,
-            final_residual: 1e-10,
-        });
         p.run_end();
         let r = p.report();
         let json = serde_json::to_string(&r).unwrap();

@@ -3,8 +3,9 @@
 //! The engine takes a `&mut dyn TelemetrySink` and checks
 //! [`TelemetrySink::enabled`] once per run; with the default
 //! [`NullSink`] every emission site is skipped entirely, so an
-//! untraced run pays nothing beyond one branch per site (the
-//! `telemetry_overhead` bench pins this contract).
+//! untraced run pays nothing beyond one branch per site. The
+//! integration suite pins this structurally: a disabled sink whose
+//! `record` panics rides a fully faulted run untouched.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};

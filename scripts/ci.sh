@@ -41,20 +41,6 @@ autoscale_smoke() {
     cargo run -q -p ramsis-cli -- chaos --runs 10 --seed 88 --max-workers 6
 }
 stage "autoscale-smoke" autoscale_smoke
-# Perf-regression smoke: the pinned scenario matrix + solver stage under
-# the self-profiler. The run itself asserts profiling-off bit-identity;
-# --validate re-checks the written document's schema.
-perf_smoke() {
-    # No RETURN trap here: one set inside a function stays installed
-    # globally and re-fires on the *caller's* return, where the local
-    # is gone and `set -u` aborts the whole gate.
-    local out
-    out="$(mktemp -d)"
-    cargo run --release -q -p ramsis-bench --bin perf_baseline -- --smoke --out "${out}"
-    cargo run --release -q -p ramsis-bench --bin perf_baseline -- --validate "${out}/BENCH_perf.json"
-    rm -rf "${out}"
-}
-stage "perf-smoke" perf_smoke
 # Durability smoke: 25 randomized chaos runs with the kill–resume
 # dimension on (each scenario also runs durably, is killed at a random
 # checkpoint, and must resume to a byte-identical report and telemetry
@@ -68,7 +54,6 @@ durability_smoke() {
     local out
     out="$(mktemp -d)"
     cargo run -q -p ramsis-cli -- chaos --runs 25 --seed 11 --kill-resume
-    cargo run --release -q -p ramsis-bench --bin checkpoint_overhead -- --smoke --out "${out}"
     local run=(--m JF --trace constant --load 100 --duration 8 --task image --SLO 150
         --worker 4 --checkpoint "${out}/ckpt.json" --checkpoint-every 500
         --telemetry "${out}/t.jsonl")
@@ -85,9 +70,7 @@ stage "durability-smoke" durability_smoke
 # Decision-provenance smoke: record a run's decision log, explain its
 # violations (text + JSON), quantify exact regret by counterfactual
 # replay (baseline replays asserted byte-identical inside the run),
-# demand a loud failure on a missing log, then the decision-overhead
-# gate in smoke mode (report byte-identity + off-by-default and
-# per-record cost ceilings).
+# and demand a loud failure on a missing log.
 why_smoke() {
     local out
     out="$(mktemp -d)"
@@ -110,10 +93,23 @@ why_smoke() {
         echo "why accepted a missing decision log" >&2
         return 1
     fi
-    cargo run --release -q -p ramsis-bench --bin decision_overhead -- --smoke --out "${out}"
     rm -rf "${out}"
 }
 stage "why-smoke" why_smoke
+# Observer-overhead smoke: the plain run against every telemetry,
+# decision and checkpoint tier, each tier's report byte-identical to
+# the plain run, the cross-tier count checks, and the decision
+# (off-by-default, per-record) and checkpoint (capture) cost ceilings.
+observer_overhead() {
+    # No RETURN trap here: one set inside a function stays installed
+    # globally and re-fires on the *caller's* return, where the local
+    # is gone and `set -u` aborts the whole gate.
+    local out
+    out="$(mktemp -d)"
+    cargo run --release -q -p ramsis-bench --bin observer_overhead -- --smoke --out "${out}"
+    rm -rf "${out}"
+}
+stage "observer-overhead" observer_overhead
 # Failure-detection smoke: 25 randomized chaos runs with the detector
 # forced on every scenario (detection-bound, reinstatement and breaker
 # invariants all checked), the canonical gray-failure timeline, then

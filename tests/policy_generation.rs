@@ -11,7 +11,7 @@
 use ramsis::core::{
     assemble_mdp_for_bench, Balancing, Batching, Discretization, PolicyConfig, PolicySet,
 };
-use ramsis::mdp::SparseMdp;
+use ramsis::mdp::{value_iteration, value_iteration_gauss_seidel, SolveOptions, SparseMdp};
 use ramsis::prelude::*;
 use ramsis::stats::counts::ArrivalProcess;
 use ramsis::stats::{NegativeBinomialProcess, PoissonProcess};
@@ -137,6 +137,26 @@ fn negative_binomial_mdps_are_pinned() {
         let process = NegativeBinomialProcess::new(qps, 3.0);
         assert_fingerprint("negative binomial", &process, &cfg, expected);
     }
+}
+
+/// Jacobi and Gauss–Seidel value iteration converge to the same fixed
+/// point, so on a real policy MDP (image zoo, 150 ms, 4 workers, FLD
+/// D = 10, 400 QPS) they must pick the same action in every state.
+#[test]
+fn exact_solvers_agree_on_a_pinned_policy_mdp() {
+    let cfg = config(4, 10).build();
+    let process = PoissonProcess::per_second(400.0);
+    let mdp = assemble_mdp_for_bench(profile(), &process, &cfg).unwrap();
+    let opts = SolveOptions {
+        discount: cfg.discount,
+        ..SolveOptions::default()
+    };
+    let jacobi = value_iteration(&mdp, &opts);
+    let gauss_seidel = value_iteration_gauss_seidel(&mdp, &opts);
+    assert_eq!(
+        jacobi.policy, gauss_seidel.policy,
+        "exact solvers disagree on the policy"
+    );
 }
 
 /// A six-load ladder equals, field for field, the set the same call

@@ -221,6 +221,65 @@ fn traced_resilient_run(seed: u64) -> (SimulationReport, Vec<Event>) {
     (report, sink.into_events())
 }
 
+/// A sink that declares itself disabled and panics if an event reaches
+/// it anyway.
+struct DisabledSink;
+
+impl TelemetrySink for DisabledSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&mut self, event: &Event) {
+        panic!("a disabled sink was handed an event: {event:?}");
+    }
+}
+
+#[test]
+fn disabled_sink_is_never_called_and_never_perturbs_the_run() {
+    // Every emission site is gated on `enabled()`: with every resilience
+    // mechanism on and a straggler, crash, recovery and surge in the
+    // plan, not one event may reach a disabled sink, and the report
+    // must equal the run with no sink attached at all.
+    let trace = Trace::constant(70.0, 20.0);
+    let plan = FaultPlan::none()
+        .slowdown(0, 1.0, 18.0, 12.0)
+        .surge(6.0, 14.0, 2.0)
+        .crash(1, 8.0)
+        .recover(1, 12.0);
+    let run = |sink: Option<&mut dyn TelemetrySink>| {
+        let sim = Simulation::new(
+            profile(),
+            SimulationConfig::new(3, 0.15)
+                .seeded(7)
+                .stochastic()
+                .with_resilience(ResiliencePolicy::all_on()),
+        )
+        .expect("valid simulation config");
+        let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
+        let mut monitor = LoadMonitor::new();
+        let spec = RunSpec::trace(&trace).faults(&plan);
+        let spec = match sink {
+            Some(sink) => spec.telemetry(sink),
+            None => spec,
+        };
+        sim.execute(spec, &mut scheme, &mut monitor)
+            .expect("plan validates")
+    };
+    let bare = run(None);
+    let with_disabled = run(Some(&mut DisabledSink));
+    let rs = &bare.resilience;
+    assert!(
+        rs.timeouts > 0 && rs.retries > 0 && rs.hedges_issued > 0 && bare.served > 0,
+        "setup must exercise the resilience paths: {rs:?}"
+    );
+    assert_eq!(with_disabled, bare);
+    assert_eq!(
+        serde_json::to_string(&with_disabled).unwrap(),
+        serde_json::to_string(&bare).unwrap()
+    );
+}
+
 #[test]
 fn conservation_extends_to_resilience_events() {
     let (report, events) = traced_resilient_run(13);
