@@ -13,7 +13,7 @@ use ramsis_core::{
     assemble_mdp_for_bench, generate_policy, Discretization, PoissonArrivals, PolicyConfig, State,
     StateSpace, TimeGrid,
 };
-use ramsis_mdp::{value_iteration, SolveOptions};
+use ramsis_mdp::{value_iteration, SolveOptions, StopRule};
 use ramsis_profiles::{pareto_front, ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{Routing, Selection, ServingScheme, Simulation, SimulationConfig};
 use ramsis_stats::counts::ArrivalProcess;
@@ -76,6 +76,7 @@ fn bench_value_iteration(c: &mut Criterion) {
                     discount: 0.99,
                     tolerance: 1e-6,
                     max_iterations: 100_000,
+                    stop: StopRule::ValueTolerance,
                 },
             )
         })

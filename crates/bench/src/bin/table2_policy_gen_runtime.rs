@@ -157,9 +157,11 @@ fn main() {
         get("FLD D=10", "max", m_big),
         get("FLD D=100", "max", m_big),
     ) {
-        println!(
-            "paper check: FLD D=10 max ({fld10:.2}s) < FLD D=100 max ({fld100:.2}s): {}",
-            fld10 < fld100
+        println!("paper check: FLD D=10 max ({fld10:.2}s) < FLD D=100 max ({fld100:.2}s)");
+        assert!(
+            fld10 < fld100,
+            "paper check failed: FLD D=10 max ({fld10:.2}s) is not faster than FLD D=100 max \
+             ({fld100:.2}s)"
         );
     }
     if let (Some(maxb), Some(varb)) = (get("MD", "max", m_big), get("MD", "variable", m_big)) {

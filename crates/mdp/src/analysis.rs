@@ -152,7 +152,7 @@ pub fn stationary_reward(mdp: &SparseMdp, policy: &[usize], stationary: &[f64]) 
 mod tests {
     use super::*;
     use crate::model::MdpBuilder;
-    use crate::solve::{value_iteration, SolveOptions};
+    use crate::solve::{value_iteration, SolveOptions, StopRule};
 
     fn chain_with_choice() -> SparseMdp {
         // 0 --(a: stay 0.3 / go 0.7)--> 1; 1 --(b)--> 0. All reward in 1.
@@ -186,6 +186,7 @@ mod tests {
             discount: 0.8,
             tolerance: 1e-12,
             max_iterations: 100_000,
+            stop: StopRule::ValueTolerance,
         };
         let sol = value_iteration(&mdp, &opts);
         let v = evaluate_policy(&mdp, &sol.policy, opts.discount, 1e-12);

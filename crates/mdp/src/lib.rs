@@ -9,7 +9,8 @@
 //!   tuple. RAMSIS transition rows are sparse (arrival counts concentrate
 //!   around the mean), so sparse storage keeps million-transition MDPs in
 //!   tens of megabytes.
-//! - [`solve`]: discounted value iteration with sup-norm stopping,
+//! - [`solve`]: discounted value iteration that stops once the greedy
+//!   policy is certified optimal (sup-norm stopping as the fallback),
 //!   modified policy iteration, and relative value iteration for the
 //!   average-reward criterion (the paper cites both Puterman \[36\] and the
 //!   semi-MDP literature \[8\]).
@@ -29,6 +30,6 @@ pub use analysis::{evaluate_policy, stationary_distribution, StationaryOptions};
 pub use model::{MdpBuilder, MdpError, SparseMdp};
 pub use solve::{
     policy_iteration, relative_value_iteration, value_iteration, value_iteration_gauss_seidel,
-    value_iteration_gauss_seidel_traced, value_iteration_traced, ConvergenceTrace, Solution,
-    SolveOptions, SweepRecord,
+    value_iteration_gauss_seidel_traced, value_iteration_traced, ConvergenceTrace,
+    PolicyCertificate, Solution, SolveOptions, StopRule, SweepRecord,
 };

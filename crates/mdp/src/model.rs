@@ -350,7 +350,24 @@ impl SparseMdp {
     /// Ties break toward the action added first, making solver output
     /// deterministic.
     pub fn bellman_backup(&self, state: usize, values: &[f64], discount: f64) -> (f64, usize) {
+        let (best, best_action, _) = self.bellman_backup_with_runner_up(state, values, discount);
+        (best, best_action)
+    }
+
+    /// [`Self::bellman_backup`] that also returns the runner-up Q-value,
+    /// `(best_value, best_action, runner_up_value)`. The first two are
+    /// bit-identical to [`Self::bellman_backup`]'s. The runner-up is the
+    /// largest Q among the other actions: it equals `best_value` on an
+    /// exact tie and is `-inf` in a single-action state, so
+    /// `best_value − runner_up_value` is the state's action gap.
+    pub(crate) fn bellman_backup_with_runner_up(
+        &self,
+        state: usize,
+        values: &[f64],
+        discount: f64,
+    ) -> (f64, usize, f64) {
         let mut best = f64::NEG_INFINITY;
+        let mut runner_up = f64::NEG_INFINITY;
         let mut best_action = self.state_action_start[state];
         for a in self.actions_of(state) {
             let mut q = self.action_reward[a];
@@ -360,12 +377,34 @@ impl SparseMdp {
                 future += self.trans_prob[range.start + i] * values[to as usize];
             }
             q += discount * future;
+            let second = if q > best { best } else { q };
+            if second > runner_up {
+                runner_up = second;
+            }
             if q > best {
                 best = q;
                 best_action = a;
             }
         }
-        (best, best_action)
+        (best, best_action, runner_up)
+    }
+
+    /// `(max_len, max_dev)` over all transition rows: the longest row and
+    /// a bound on how far any row's exact sum lies from one (the
+    /// computed sum's deviation plus that sum's own rounding bound,
+    /// `len · ε`). After `normalize_rows(true)` the deviation is a few
+    /// ulps; without it the builder admits up to `1e-6`.
+    pub(crate) fn row_bounds(&self) -> (usize, f64) {
+        let mut max_len = 0;
+        let mut max_dev = 0.0f64;
+        for a in 0..self.n_actions() {
+            let range = self.action_trans_start[a]..self.action_trans_start[a + 1];
+            let len = range.len();
+            let sum: f64 = self.trans_prob[range].iter().sum();
+            max_len = max_len.max(len);
+            max_dev = max_dev.max((sum - 1.0).abs() + len as f64 * f64::EPSILON);
+        }
+        (max_len, max_dev)
     }
 
     /// Q-value of one specific global action index.
@@ -519,5 +558,37 @@ mod tests {
         let q0 = m.q_value(0, &values, 0.95);
         let q1 = m.q_value(1, &values, 0.95);
         assert!((best.0 - q0.max(q1)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn runner_up_is_the_second_best_q() {
+        let m = two_state();
+        let values = vec![3.0, -1.0];
+        let (v, a, runner_up) = m.bellman_backup_with_runner_up(0, &values, 0.95);
+        assert_eq!((v, a), m.bellman_backup(0, &values, 0.95));
+        let q0 = m.q_value(0, &values, 0.95);
+        let q1 = m.q_value(1, &values, 0.95);
+        assert_eq!(runner_up, q0.min(q1));
+        // A single-action state has no runner-up.
+        assert_eq!(
+            m.bellman_backup_with_runner_up(1, &values, 0.95).2,
+            f64::NEG_INFINITY
+        );
+        // An exact tie keeps the first action and reports a zero gap.
+        let mut b = MdpBuilder::new(1);
+        b.start_state();
+        b.add_action(0, &[(0, 1.0, 1.0)]);
+        b.add_action(1, &[(0, 1.0, 1.0)]);
+        let tie = b.build().unwrap();
+        let (v, a, runner_up) = tie.bellman_backup_with_runner_up(0, &[2.0], 0.5);
+        assert_eq!((a, v), (0, runner_up));
+    }
+
+    #[test]
+    fn row_bounds_report_the_longest_row_and_its_slack() {
+        let (max_len, max_dev) = two_state().row_bounds();
+        assert_eq!(max_len, 2);
+        // Exact rows: only the summation's own rounding bound remains.
+        assert_eq!(max_dev, 2.0 * f64::EPSILON);
     }
 }

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 
 use ramsis_mdp::{
     evaluate_policy, policy_iteration, stationary_distribution, value_iteration,
-    value_iteration_gauss_seidel, MdpBuilder, SolveOptions, SparseMdp, StationaryOptions,
+    value_iteration_gauss_seidel, value_iteration_traced, MdpBuilder, Solution, SolveOptions,
+    SparseMdp, StationaryOptions, StopRule,
 };
 
 /// A random MDP: `n` states, 1-3 actions each, 1-3 transitions per
@@ -35,6 +36,17 @@ fn random_mdp(n: usize, shape: &[(Vec<(usize, f64, f64)>, u64)]) -> SparseMdp {
     b.build().expect("random MDP is well-formed")
 }
 
+/// Every bit of a solution, so equality cannot hide a `-0.0` or a NaN.
+fn bits(sol: &Solution) -> (Vec<u64>, Vec<usize>, usize, u64, Option<u64>) {
+    (
+        sol.values.iter().map(|v| v.to_bits()).collect(),
+        sol.policy.clone(),
+        sol.iterations,
+        sol.residual.to_bits(),
+        sol.gain.map(f64::to_bits),
+    )
+}
+
 fn shape_strategy() -> impl Strategy<Value = Vec<(Vec<(usize, f64, f64)>, u64)>> {
     proptest::collection::vec(
         (
@@ -57,7 +69,7 @@ proptest! {
         gamma in 0.5f64..0.95,
     ) {
         let mdp = random_mdp(n, &shape);
-        let opts = SolveOptions { discount: gamma, tolerance: 1e-9, max_iterations: 100_000 };
+        let opts = SolveOptions { discount: gamma, tolerance: 1e-9, max_iterations: 100_000, stop: StopRule::ValueTolerance };
         let sol = value_iteration(&mdp, &opts);
         let first_action: Vec<usize> = (0..n).map(|s| mdp.actions_of(s).start).collect();
         let v_first = evaluate_policy(&mdp, &first_action, gamma, 1e-9);
@@ -86,7 +98,7 @@ proptest! {
         gamma in 0.5f64..0.9,
     ) {
         let mdp = random_mdp(n, &shape);
-        let opts = SolveOptions { discount: gamma, tolerance: 1e-10, max_iterations: 200_000 };
+        let opts = SolveOptions { discount: gamma, tolerance: 1e-10, max_iterations: 200_000, stop: StopRule::ValueTolerance };
         let vi = value_iteration(&mdp, &opts);
         let pi = policy_iteration(&mdp, &opts, 10_000);
         let gs = value_iteration_gauss_seidel(&mdp, &opts);
@@ -103,6 +115,36 @@ proptest! {
                 vi.values[s],
                 gs.values[s]
             );
+        }
+    }
+
+    /// The certified stop agrees with the tolerance stop: on the policy
+    /// when its certificate fires, and bit for bit on the whole solution
+    /// when it falls back.
+    #[test]
+    fn certified_stop_agrees_with_the_tolerance_stop(
+        n in 2usize..10,
+        shape in shape_strategy(),
+        gamma in 0.5f64..0.95,
+    ) {
+        let mdp = random_mdp(n, &shape);
+        let tolerance = SolveOptions {
+            discount: gamma,
+            tolerance: 1e-10,
+            max_iterations: 100_000,
+            stop: StopRule::ValueTolerance,
+        };
+        let certified_opts = SolveOptions { stop: StopRule::PolicyCertified, ..tolerance };
+        let (certified, trace) = value_iteration_traced(&mdp, &certified_opts);
+        let reference = value_iteration(&mdp, &tolerance);
+        match trace.certificate {
+            Some(c) => {
+                prop_assert_eq!(&certified.policy, &reference.policy);
+                prop_assert!(c.min_gap > c.bound);
+                prop_assert_eq!(c.sweep as usize, certified.iterations);
+                prop_assert!(certified.iterations <= reference.iterations);
+            }
+            None => prop_assert_eq!(bits(&certified), bits(&reference)),
         }
     }
 

@@ -27,6 +27,15 @@ stage "cargo test" cargo test --workspace -q
 # only when the benchmark itself runs.
 stage "perfbench test" \
     cargo test --offline --release --manifest-path perfbench/Cargo.toml
+# Table 2 in quick mode (about 20 s): every policy-generation row runs
+# and the paper's ordering FLD D=10 max < FLD D=100 max is asserted.
+table2_quick() {
+    local out
+    out="$(mktemp -d)"
+    cargo run --release -q -p ramsis-bench --bin table2_policy_gen_runtime -- --out "${out}"
+    rm -rf "${out}"
+}
+stage "table2 (quick)" table2_quick
 # Randomized resilience smoke: 25 seeded chaos runs, invariants checked
 # (determinism, conservation, counter agreement, hedge + admission
 # bounds, scale-event accounting, no autoscale output without a policy). The

@@ -139,9 +139,11 @@ fn negative_binomial_mdps_are_pinned() {
     }
 }
 
-/// Jacobi and Gauss–Seidel value iteration converge to the same fixed
-/// point, so on a real policy MDP (image zoo, 150 ms, 4 workers, FLD
-/// D = 10, 400 QPS) they must pick the same action in every state.
+/// Certified Jacobi value iteration (stopped once its greedy actions are
+/// proven optimal) and Gauss–Seidel value iteration (stopped on the
+/// sup-norm tolerance) reach the same policy by different routes, so on
+/// a real policy MDP (image zoo, 150 ms, 4 workers, FLD D = 10, 400 QPS)
+/// they must pick the same action in every state.
 #[test]
 fn exact_solvers_agree_on_a_pinned_policy_mdp() {
     let cfg = config(4, 10).build();
